@@ -58,14 +58,10 @@ def load_config(path: str, overrides: dict) -> dict:
     config.setdefault("inputs", {})
     config.setdefault("params", {})
     config.setdefault("mode", "exact")
-    config.setdefault("threads", 1)
     config.setdefault("seed", 0)
     for key, value in overrides.items():
         if value is not None:
             config[key] = value
-    env_threads = os.environ.get("GERMLIN_THREADS")
-    if env_threads:
-        config["threads"] = int(env_threads)
     base = os.path.dirname(os.path.abspath(path))
     for name, rel in list(config["inputs"].items()):
         resolved = rel if os.path.isabs(rel) else os.path.join(base, rel)
@@ -305,7 +301,7 @@ def run(config: dict) -> tuple[dict, int]:
     report = {
         "command": command,
         "config": {k: config[k] for k in ("command", "inputs", "params",
-                                          "mode", "threads", "seed")},
+                                          "mode", "seed")},
         "version": __version__,
         "input_digest": _input_digest(config),
         "payload": payload,
@@ -343,12 +339,10 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON run config")
     parser.add_argument("--out", help="write the JSON report here")
     parser.add_argument("--mode", choices=(EXACT, FLOAT))
-    parser.add_argument("--threads", type=int)
     parser.add_argument("--seed", type=int)
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config, {"mode": args.mode,
-                                           "threads": args.threads,
                                            "seed": args.seed})
         report, code = run(config)
     except (ConfigError, OSError, KeyError, ValueError) as exc:

@@ -55,8 +55,9 @@ def vec_scale_each(vec: Vec, factors) -> Vec:
     return tuple(x.scale(f) for x, f in zip(vec, factors))
 
 
-def vec_homog(vec: Vec, m: int) -> Vec:
-    return tuple(x.homogeneous_part(m) for x in vec)
+def vec_homog(vec: Vec, m: int, trunc_v: int) -> Vec:
+    """Degree-m parts, re-capped at v-degree ``trunc_v``."""
+    return tuple(x.homogeneous_part(m).with_caps(x.trunc_h, trunc_v) for x in vec)
 
 
 def vec_max_abs(vec: Vec) -> float:
@@ -69,10 +70,6 @@ def vec_substitute(vec: Vec, phi_h, phi_v, n_v: int, n_h: int) -> Vec:
 
 def vec_compose_linear(vec: Vec, h_factors, v_factors) -> Vec:
     return tuple(x.compose_linear(h_factors, v_factors) for x in vec)
-
-
-def _ones(mode, count):
-    return tuple(scalars.one(mode) for _ in range(count))
 
 
 def _inv(values, mode):
@@ -141,30 +138,19 @@ class DeckPerturbation:
 
 
 def _invert_deck(pert: DeckPerturbation, i: int) -> Vec:
-    """Fixed-point computation of tau_i^{-1} - tauhat_i^{-1} at truncation.
+    """tau_i^{-1} - tauhat_i^{-1} at truncation.
 
-    With sigma = tauhat^{-1} + sigma*, the identity tau o sigma = Id reads
-    tauhat sigma* = -tau* o sigma, and tau* o sigma is the linear pullback
-    of tau* shifted by (T sigma*_h, M sigma*_v).
+    tau = tauhat o (Id + phi) with phi = tauhat^{-1} tau*, so tau^{-1} =
+    (Id + psi) o tauhat^{-1} for the inverse Id + psi of Id + phi, and the
+    difference is psi o tauhat^{-1}.  The degree window is that of
+    :func:`invert_near_identity`.
     """
-    decks, n_v, n_h = pert.decks, pert.n_v, pert.n_h_budget
-    lam, mu = decks.lam[i], decks.mu[i]
-    lam_inv, mu_inv = _inv(lam, pert.mode), _inv(mu, pert.mode)
-    width = decks.n_h + decks.d
-    star = pert.stacked(i)
-    star_pulled = vec_compose_linear(star, lam_inv, mu_inv)
-    sigma = vec_zero(decks.n_h, decks.d, width, n_h, n_v, pert.mode)
-    for _ in range(max(1, n_v - 1)):
-        shift_h = vec_scale_each(sigma[:decks.n_h], lam)
-        shift_v = vec_scale_each(sigma[decks.n_h:], mu)
-        comp = vec_substitute(star_pulled, shift_h, shift_v, n_v, n_h)
-        new_h = vec_scale_each(tuple(c.neg() for c in comp[:decks.n_h]), lam_inv)
-        new_v = vec_scale_each(tuple(c.neg() for c in comp[decks.n_h:]), mu_inv)
-        new = new_h + new_v
-        if all(a == b for a, b in zip(new, sigma)):
-            break
-        sigma = new
-    return sigma
+    lam_inv = _inv(pert.decks.lam[i], pert.mode)
+    mu_inv = _inv(pert.decks.mu[i], pert.mode)
+    psi_h, psi_v = invert_near_identity(vec_scale_each(pert.tau_h[i], lam_inv),
+                                        vec_scale_each(pert.tau_v[i], mu_inv),
+                                        pert.n_v, pert.n_h_budget)
+    return vec_compose_linear(psi_h + psi_v, lam_inv, mu_inv)
 
 
 def compose_decks(pert: DeckPerturbation, i: int, j: int) -> Vec:
@@ -255,18 +241,20 @@ def _random_perturbation(rng: random.Random, n_h, d, ncomp, n_v, trunc_h,
 
 
 def invert_near_identity(phi_h: Vec, phi_v: Vec, n_v: int, n_h: int) -> tuple[Vec, Vec]:
-    """Truncated compositional inverse of Id + phi: psi = -phi o (Id + psi)."""
-    psi_h = tuple(s.like() for s in phi_h)
-    psi_v = tuple(s.like() for s in phi_v)
-    for _ in range(max(1, n_v - 1)):
-        comp_h = vec_substitute(phi_h, psi_h, psi_v, n_v, n_h)
-        comp_v = vec_substitute(phi_v, psi_h, psi_v, n_v, n_h)
-        new_h = tuple(c.neg() for c in comp_h)
-        new_v = tuple(c.neg() for c in comp_v)
-        if all(a == b for a, b in zip(new_h + new_v, psi_h + psi_v)):
-            break
-        psi_h, psi_v = new_h, new_v
-    return psi_h, psi_v
+    """Truncated compositional inverse of Id + phi: psi = -phi o (Id + psi).
+
+    Degree window: phi and psi have v-order >= 2, so a term of psi at degree
+    s moves -phi o (Id + psi) only above degree s.  Iterate t runs at cap
+    t + 1 and is exact through it: the cap grows from 2 to ``n_v`` instead
+    of every iterate being recomposed up to ``n_v``.
+    """
+    n_hc = len(phi_h)
+    phi = tuple(phi_h) + tuple(phi_v)
+    psi = tuple(s.like() for s in phi)
+    for cap in range(2, n_v + 1) or (n_v,):
+        psi = tuple(c.neg() for c in
+                    vec_substitute(phi, psi[:n_hc], psi[n_hc:], cap, n_h))
+    return psi[:n_hc], psi[n_hc:]
 
 
 def conjugate_linear_decks(decks: DeckLinearData, phi0_h: Vec, phi0_v: Vec,
@@ -355,9 +343,11 @@ def _check_report(pert: DeckPerturbation, report: DiophantineReport | None,
         raise DivisorError("full linearization needs a full-mode scan")
 
 
-def _vertical_rhs(pert: DeckPerturbation, phi_v: Vec, i: int, direction: str) -> Vec:
-    """(I) - (II) of the vertical conjugacy equation at the current phi."""
-    n_v, n_h = pert.n_v, pert.n_h_budget
+def _vertical_rhs(pert: DeckPerturbation, phi_v: Vec, i: int, direction: str,
+                  n_v: int) -> Vec:
+    """(I) - (II) of the vertical conjugacy equation at the current phi,
+    truncated at v-degree ``n_v``."""
+    n_h = pert.n_h_budget
     tau_h, tau_v = pert.parts(i, direction)
     lam_f, mu_f = pert.linear_factors(i, direction)
     term_i = vec_substitute(tau_v, None, phi_v, n_v, n_h)
@@ -373,7 +363,8 @@ def vertical_linearize(pert: DeckPerturbation, n_v: int,
                        report: DiophantineReport | None = None,
                        direction: str = "forward") -> LinearizationResult:
     """Solve for phi = (0, phi_v) conjugating the decks to maps with linear
-    vertical part, degree by degree.
+    vertical part, degree by degree; the right-hand side at degree m is
+    composed at cap m only.
 
     At each degree the right-hand side family must satisfy the pairwise
     compatibility identity; failure signals non-commuting input decks.
@@ -383,7 +374,7 @@ def vertical_linearize(pert: DeckPerturbation, n_v: int,
     n_v = min(n_v, pert.n_v)
     phi_v = vec_zero(decks.n_h, decks.d, decks.d, pert.n_h_budget, n_v, pert.mode)
     for m in range(2, n_v + 1):
-        rhs = tuple(vec_homog(_vertical_rhs(pert, phi_v, i, direction), m)
+        rhs = tuple(vec_homog(_vertical_rhs(pert, phi_v, i, direction, m), m, n_v)
                     for i in range(decks.q))
         sys = CochainSystem(decks, rhs, "vertical", direction)
         step = solve_family(sys, report)
@@ -397,7 +388,8 @@ def full_linearize(pert: DeckPerturbation, n_v: int,
                    report: DiophantineReport | None = None,
                    direction: str = "forward") -> LinearizationResult:
     """Solve for phi = (phi_h, phi_v) conjugating the decks to their linear
-    parts, degree by degree."""
+    parts, degree by degree; the right-hand side at degree m is composed at
+    cap m only."""
     _check_report(pert, report, "full")
     decks = pert.decks
     n_v = min(n_v, pert.n_v)
@@ -408,8 +400,8 @@ def full_linearize(pert: DeckPerturbation, n_v: int,
         for i in range(decks.q):
             tau_h, tau_v = pert.parts(i, direction)
             composed = vec_substitute(tau_h + tau_v, phi[:decks.n_h],
-                                      phi[decks.n_h:], n_v, pert.n_h_budget)
-            rhs.append(vec_homog(composed, m))
+                                      phi[decks.n_h:], m, pert.n_h_budget)
+            rhs.append(vec_homog(composed, m, n_v))
         sys = CochainSystem(decks, tuple(rhs), "full", direction)
         step = solve_family(sys, report)
         phi = vec_add(phi, step)
@@ -758,7 +750,7 @@ def fit_majorant_constants(pert: DeckPerturbation, report: DiophantineReport,
                 if sup > 0:
                     r_prime = max(r_prime, sup ** (1.0 / size))
     # degree-2 family ratio for C1
-    rhs2 = tuple(vec_homog(pert.stacked(i), 2) for i in range(decks.q))
+    rhs2 = tuple(vec_homog(pert.stacked(i), 2, pert.n_v) for i in range(decks.q))
     kind = "full" if mode == "full" else "vertical"
     if kind == "vertical":
         rhs2 = tuple(vec[decks.n_h:] for vec in rhs2)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add as _add
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -43,6 +44,10 @@ class ExponentKey(NamedTuple):
     @property
     def q_size(self) -> int:
         return sum(self.Q)
+
+
+# ExponentKey from a ready (P, Q) pair, without NamedTuple argument parsing
+_new_key = tuple.__new__
 
 
 def _key(p: Sequence[int], q: Sequence[int]) -> ExponentKey:
@@ -153,12 +158,6 @@ class FormalSeries:
         for k in dead:
             del self.terms[k]
 
-    def _zero_coeff(self):
-        return scalars.zero(self.mode)
-
-    def copy(self) -> "FormalSeries":
-        return self.like(dict(self.terms))
-
     # ------------------------------------------------------------------
     # inspection
 
@@ -178,7 +177,7 @@ class FormalSeries:
         return max((abs(c) for c in self.terms.values()), default=0.0)
 
     def coeff(self, p, q):
-        return self.terms.get(_key(p, q), self._zero_coeff())
+        return self.terms.get(_key(p, q), scalars.zero(self.mode))
 
     def __eq__(self, other):
         if not isinstance(other, FormalSeries):
@@ -231,20 +230,32 @@ class FormalSeries:
             raise SeriesError("exact series scaled by inexact factor")
         return self.like({k: c * factor for k, c in self.terms.items()})
 
-    def mul(self, other: "FormalSeries") -> "FormalSeries":
+    def mul(self, other: "FormalSeries", cap_v: int | None = None) -> "FormalSeries":
+        """Product truncated at v-degree ``cap_v``, by default the smaller
+        operand cap; pass a larger one only where no term an operand dropped
+        can reach it.  A left term of |Q| = d meets only the right terms of
+        |Q| <= cap_v - d, in stored order: pairs above the cap are never
+        formed, and keys come out in the order of the full double loop."""
         self._check_compat(other)
-        cap_h, cap_v = self._result_caps(other)
-        if cap_v == 0 and (any(k.q_size for k in self.terms)
-                           or any(k.q_size for k in other.terms)):
-            raise SeriesError("truncation bound of zero in mul")
+        cap_h, own_v = self._result_caps(other)
+        if cap_v is None:
+            cap_v = own_v
+            if cap_v == 0 and any(k.q_size for k in (*self.terms, *other.terms)):
+                raise SeriesError("truncation bound of zero in mul")
+        right = [(sum(q2), p2, q2, c2) for (p2, q2), c2 in other.terms.items()]
+        windows: dict[int, list] = {}
         acc: dict[ExponentKey, object] = {}
         for (p1, q1), c1 in self.terms.items():
-            for (p2, q2), c2 in other.terms.items():
-                q = tuple(a + b for a, b in zip(q1, q2))
-                if sum(q) > cap_v:
-                    continue
-                p = tuple(a + b for a, b in zip(p1, p2))
-                key = ExponentKey(p, q)
+            room = cap_v - sum(q1)
+            if room < 0:
+                continue
+            window = windows.get(room)
+            if window is None:
+                window = windows[room] = [(p2, q2, c2) for d2, p2, q2, c2 in right
+                                          if d2 <= room]
+            for p2, q2, c2 in window:
+                key = _new_key(ExponentKey, (tuple(map(_add, p1, p2)),
+                                             tuple(map(_add, q1, q2))))
                 prod = c1 * c2
                 if key in acc:
                     acc[key] = acc[key] + prod
@@ -336,21 +347,6 @@ def _filter_caps(acc: Mapping, cap_h: int, cap_v: int, mode: str) -> dict:
     return out
 
 
-def ring_ops(f: FormalSeries, g: FormalSeries | None, kind: str, scalar=None) -> FormalSeries:
-    """Dispatch add/mul/scale through one entry point."""
-    if kind == "add":
-        return f.add(g)
-    if kind == "mul":
-        return f.mul(g)
-    if kind == "scale":
-        return f.scale(scalar)
-    raise SeriesError(f"unknown ring op {kind!r}")
-
-
-def homogeneous_part(f: FormalSeries, k: int) -> FormalSeries:
-    return f.homogeneous_part(k)
-
-
 # ----------------------------------------------------------------------
 # substitution
 
@@ -364,19 +360,6 @@ def _binom(p: int, k: int) -> int:
     return (-1) ** k * math.comb(-p + k - 1, k)
 
 
-class _PowerCache:
-    """Memoized nonnegative powers of one series under a v-cap."""
-
-    def __init__(self, base: FormalSeries, one: FormalSeries):
-        self.base = base
-        self.cache = {0: one}
-
-    def get(self, k: int) -> FormalSeries:
-        if k not in self.cache:
-            self.cache[k] = self.get(k - 1).mul(self.base)
-        return self.cache[k]
-
-
 def substitute_shift(f: FormalSeries, phi_h: Sequence[FormalSeries] | None,
                      phi_v: Sequence[FormalSeries] | None, n_v: int,
                      n_h: int | None = None) -> FormalSeries:
@@ -387,6 +370,14 @@ def substitute_shift(f: FormalSeries, phi_h: Sequence[FormalSeries] | None,
     ``(h_i + phi_i)^{P_i} = sum_k C(P_i, k) h_i^{P_i - k} phi_i^k``.
     ``n_h`` is the Laurent budget of the result; the default allows the
     worst-case spread of the expansion.
+
+    Degree window: a key of f with |Q| = q feeds only degrees >= q, so f is
+    cut at ``n_v``, and a key's leading factors are multiplied only up to
+    ``n_v`` minus the v-exponents still to come.  Keys are visited in
+    lexicographic (P, Q) order and share the products of common leading
+    factors; only the current chain of them is kept.  Each key adds
+    ``c * product`` to one accumulator, capped once; the result keeps the
+    key order of summing the keys of f in stored order.
     """
     phi_h = list(phi_h) if phi_h else [None] * f.n_h
     phi_v = list(phi_v) if phi_v else [None] * f.n_v
@@ -409,60 +400,83 @@ def substitute_shift(f: FormalSeries, phi_h: Sequence[FormalSeries] | None,
     work_h = max(n_h, worst) + f.max_p_size() + 1
 
     one = FormalSeries.constant(f.n_h, f.n_v, scalars.one(f.mode), work_h, n_v, f.mode)
-    out = FormalSeries.zero(f.n_h, f.n_v, work_h, n_v, f.mode)
 
-    pcache: dict[int, _PowerCache] = {}
-    for slot, p in enumerate(phi_h + phi_v):
-        if p is not None and not p.is_zero():
-            pcache[slot] = _PowerCache(p.with_caps(work_h, n_v), one)
+    # per slot the powers phi^0, phi^1, ... of its shift, extended on demand
+    capped = [None if p is None else p.with_caps(work_h, n_v) for p in phi_h + phi_v]
+    powers = {slot: [one, p] for slot, p in enumerate(capped)
+              if p is not None and not p.is_zero()}
 
     # per (slot, exponent) expansion of one substituted factor
     fcache: dict[tuple[int, int], FormalSeries] = {}
 
     def factor(slot: int, expo: int) -> FormalSeries:
+        """sum_k C(expo, k) x^(expo - k) phi^k for the coordinate x of slot,
+        each power's terms moved by x^(expo - k) and added in turn."""
         tag = (slot, expo)
         if tag in fcache:
             return fcache[tag]
-        horizontal = slot < f.n_h
-
-        def mono(e: int, coeff) -> FormalSeries:
-            mp = [0] * f.n_h
-            mq = [0] * f.n_v
-            if horizontal:
-                mp[slot] = e
-            else:
-                mq[slot - f.n_h] = e
-            return FormalSeries.monomial(f.n_h, f.n_v, mp, mq, coeff,
-                                         work_h, n_v, f.mode)
-
-        if slot not in pcache:
-            res = mono(expo, scalars.one(f.mode))
-        else:
-            cache = pcache[slot]
-            vord = max(2, cache.base.v_order() or 2)
-            k_max = n_v // vord
-            if expo >= 0:
-                k_max = min(k_max, expo)
-            res = FormalSeries.zero(f.n_h, f.n_v, work_h, n_v, f.mode)
-            for k in range(k_max + 1):
-                coeff = _binom(expo, k)
-                if coeff == 0:
+        row = powers.get(slot, [one])
+        k_max = 0 if len(row) == 1 else n_v // row[1].v_order()
+        if expo >= 0:
+            k_max = min(k_max, expo)
+        j = slot - f.n_h
+        acc: dict[ExponentKey, object] = {}
+        for k in range(k_max + 1):
+            coeff = _binom(expo, k)
+            if coeff == 0:
+                continue
+            e = expo - k
+            while len(row) <= k:
+                row.append(row[-1].mul(row[1]))
+            for (p, q), c in row[k].terms.items():
+                if j < 0:
+                    p = p[:slot] + (p[slot] + e,) + p[slot + 1:]
+                elif sum(q) + e > n_v:
                     continue
-                res = res.add(mono(expo - k, scalars.one(f.mode) * coeff)
-                              .mul(cache.get(k)))
+                else:
+                    q = q[:j] + (q[j] + e,) + q[j + 1:]
+                key = _new_key(ExponentKey, (p, q))
+                term = c if coeff == 1 else c * coeff
+                if key in acc:
+                    term = acc[key] + term
+                    if not term:
+                        del acc[key]
+                        continue
+                acc[key] = term
+        res = FormalSeries.zero(f.n_h, f.n_v, work_h, n_v, f.mode)
+        res.terms = _filter_caps(acc, work_h, n_v, f.mode)
+        res._cleanup()
         fcache[tag] = res
         return res
 
-    for key, c in f.terms.items():
-        term = FormalSeries.constant(f.n_h, f.n_v, c, work_h, n_v, f.mode)
-        for i, p in enumerate(key.P):
-            if p:
-                term = term.mul(factor(i, p))
-        for j, q in enumerate(key.Q):
-            if q:
-                term = term.mul(factor(f.n_h + j, q))
-        out = out.add(term)
-    return out.with_caps(n_h, n_v)
+    live = [(key, c) for key, c in f.terms.items() if key.q_size <= n_v]
+    acc: dict[ExponentKey, object] = {}
+    first: dict[ExponentKey, tuple[int, int]] = {}
+    chain: list[tuple[tuple[int, int], FormalSeries]] = []
+    for rank, (key, c) in sorted(enumerate(live), key=lambda item: item[1][0]):
+        todo = key.q_size
+        prod = one
+        for depth, tag in enumerate((s, e) for s, e in enumerate(key.P + key.Q) if e):
+            if tag[0] >= f.n_h:
+                todo -= tag[1]
+            if (depth < len(chain) and chain[depth][0] == tag
+                    and chain[depth][1].trunc_v >= n_v - todo):
+                prod = chain[depth][1]
+                continue
+            del chain[depth:]
+            prod = factor(*tag) if depth == 0 else prod.mul(factor(*tag), n_v - todo)
+            chain.append((tag, prod))
+        for pos, (k, v) in enumerate(prod.terms.items()):
+            if k in acc:
+                acc[k] = acc[k] + c * v
+                first[k] = min(first[k], (rank, pos))
+            else:
+                acc[k], first[k] = c * v, (rank, pos)
+    out = FormalSeries.zero(f.n_h, f.n_v, n_h, n_v, f.mode)
+    out.terms = _filter_caps({k: acc[k] for k in sorted(acc, key=first.__getitem__)},
+                             n_h, n_v, f.mode)
+    out._cleanup()
+    return out
 
 
 # ----------------------------------------------------------------------

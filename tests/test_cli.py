@@ -198,16 +198,6 @@ def test_dioph_scan_float_mode(tmp_path):
     assert report["config"]["mode"] == "float"
 
 
-def test_threads_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("GERMLIN_THREADS", "7")
-    write(tmp_path / "decks.json", decks_json())
-    code, report = run_cli(tmp_path, {
-        "command": "dioph-scan", "threads": 2,
-        "inputs": {"decks": "decks.json"}, "params": {"N": 6}})
-    assert code == 0
-    assert report["config"]["threads"] == 7
-
-
 def test_hopf_classify_relation_fails(tmp_path):
     write(tmp_path / "spec.json",
           hopf_spec_json((("1/4", "0"), ("1/2", "0"))))

@@ -187,6 +187,22 @@ def test_full_forward_inverse_identical_phi():
             assert a.terms == b.terms
 
 
+def test_solves_below_fixture_truncation():
+    # fixture at n_v = 8, solved at n_v = 5: the deck keys above degree 5
+    # only feed degrees above it and must be cut, not rejected
+    gen = generate_commuting_decks(3, (1, 1, 2), 8, scale=Fraction(1, 16))
+    full = full_linearize(gen.pert, 5)
+    assert full.n_v == 5 and full.max_residual == 0.0
+    for got, want in zip(full.phi_h + full.phi_v, gen.phi0_h + gen.phi0_v):
+        assert got.terms == want.truncate_v(5).terms
+        assert got.trunc_v == 5
+    deep = vertical_linearize(gen.pert, 8)
+    vert = vertical_linearize(gen.pert, 5)
+    assert vert.max_residual == 0.0
+    for got, want in zip(vert.phi_v, deep.phi_v):
+        assert got.terms == want.truncate_v(5).terms
+
+
 def test_residual_sensitive_to_coefficient_bump():
     gen = generate_commuting_decks(17, (1, 1, 1), N_V)
     rep = diophantine_scan(gen.pert.decks, N_V + 4, "full")

@@ -1,0 +1,66 @@
+"""Byte-identity guard: the payload sha256 of small fixed exact configs.
+
+A change to the series kernel, the solvers or the fixture generator must
+leave every exact payload byte for byte as it was.  A change that alters a
+payload on purpose updates the pin here and says why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from test_cli import decks_json, hopf_spec_json, resonant_decks_json, run_cli, write
+
+CONFIGS = {
+    "linearize-full-111": {
+        "command": "linearize", "seed": 3,
+        "params": {"n_v": 8, "lin_mode": "full", "scale": "1/16"}},
+    "linearize-full-122": {
+        "command": "linearize", "seed": 2,
+        "params": {"n_h": 1, "d": 2, "q": 2, "n_v": 4, "lin_mode": "full",
+                   "scale": "1/16"}},
+    "linearize-full-211": {
+        "command": "linearize", "seed": 4,
+        "params": {"n_h": 2, "d": 1, "q": 1, "n_v": 4, "lin_mode": "full",
+                   "scale": "1/16"}},
+    "linearize-vertical-112": {
+        "command": "linearize", "seed": 1,
+        "params": {"n_h": 1, "d": 1, "q": 2, "n_v": 5, "lin_mode": "vertical",
+                   "scale": "1/16"}},
+    "certify-111": {
+        "command": "certify", "seed": 5,
+        "params": {"n_v": 4, "scale": "1/64"}},
+    "dioph-scan-full": {
+        "command": "dioph-scan", "inputs": {"decks": "decks.json"},
+        "params": {"N": 8, "scan_mode": "full"}},
+    "dioph-scan-resonant": {
+        "command": "dioph-scan", "inputs": {"decks": "bad.json"},
+        "params": {"N": 6}},
+    "hopf-classify": {
+        "command": "hopf-classify",
+        "inputs": {"spec": "spec.json", "bundle": "bundle.json"},
+        "params": {"exp_bound": 8}},
+}
+
+PINS = {
+    "certify-111": "530af14607dd21c98d608c1de7ef021192a7443da9993cfbb8d1b27fc630c231",
+    "dioph-scan-full": "4aa93228091f4d456fdbaf37a27fb49b780d85429e0f49449b691e07eceb119b",
+    "dioph-scan-resonant": "4350a9d93f734b34b197503364f34bc597b56077b7b4e8cf5f3265ba804cc4ef",
+    "hopf-classify": "9bb1a5a6b0113704558d8ab10fd12f5f562c800efbd04f72202a9cec9b6773ef",
+    "linearize-full-111": "a6ecd4937106ae91a81a29a9e37a2789273d09398e23576f873413935e7cb753",
+    "linearize-full-122": "43f9938f2f3f9dc16683bfe497b6ce0348e9423f73005bce103c132f4f40f2f8",
+    "linearize-full-211": "138c19a144d411e211b8ae42f738afd55b9e1886659914458112c7af16a92990",
+    "linearize-vertical-112": "cc4520dbe191427decf5e85bcb1000d2fe89e68ec0e774e05d8dc7bcd83f1c22",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_payload_sha256_pinned(tmp_path, name):
+    write(tmp_path / "decks.json", decks_json())
+    write(tmp_path / "bad.json", resonant_decks_json())
+    write(tmp_path / "spec.json", hopf_spec_json())
+    write(tmp_path / "bundle.json", {"beta": {"re": "0.2", "im": "0"}})
+    _, report = run_cli(tmp_path, CONFIGS[name])
+    text = json.dumps(report["payload"], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINS[name]

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from germlin.scalars import QC
 from germlin.series import (
     ExponentKey, FormalSeries, GridSpec, SeriesError, cauchy_bound_check,
-    grid_sup_norm, ring_ops, series_from_dict, series_to_dict,
+    grid_sup_norm, series_from_dict, series_to_dict,
     substitute_shift,
 )
 from conftest import random_qc, random_series
@@ -25,13 +25,13 @@ def mono(p, q, c=QC(1), n_h=1, n_v=1, th=12, tv=8, mode="exact"):
 def test_add_identity(rng):
     g = random_series(rng)
     z = FormalSeries.zero(1, 1, 12, 8)
-    assert ring_ops(z, g, "add") == g
+    assert z.add(g) == g
 
 
 def test_mul_exponent_addition():
     f = mono((1,), (2,))
     g = mono((-1,), (2,))
-    prod = ring_ops(f, g, "mul")
+    prod = f.mul(g)
     assert prod == mono((0,), (4,))
 
 
@@ -52,6 +52,22 @@ def test_mul_matches_bruteforce_convolution(rng):
                 if (p, q) == (target.P, target.Q):
                     acc = acc + c1 * c2
         assert prod.terms[target] == acc
+
+
+def test_mul_key_order_matches_double_loop(rng):
+    # pairs above the cap are skipped, never reordered: keys come out in
+    # the order the full double loop first meets them
+    for _ in range(20):
+        f = random_series(rng, max_p=3, max_q=5, n_terms=8, trunc_h=20, trunc_v=6)
+        g = random_series(rng, max_p=3, max_q=5, n_terms=8, trunc_h=20, trunc_v=6)
+        met = {}
+        for (p1, q1) in f.terms:
+            for (p2, q2) in g.terms:
+                if sum(q1) + sum(q2) <= 6:
+                    met.setdefault((tuple(a + b for a, b in zip(p1, p2)),
+                                    tuple(a + b for a, b in zip(q1, q2))), None)
+        prod = f.mul(g)
+        assert list(prod.terms) == [k for k in met if k in prod.terms]
 
 
 def test_mul_dimension_mismatch():
@@ -161,6 +177,32 @@ def test_substitute_requires_v_order_two():
     bad = mono((0,), (1,))
     with pytest.raises(SeriesError):
         substitute_shift(f, [bad], None, 8)
+
+
+def test_substitute_cuts_target_above_cap():
+    # keys of f above the cap only feed degrees above it
+    f = mono((-1,), (2,), tv=8).add(mono((1,), (7,), tv=8))
+    phi = mono((1,), (2,), tv=8)
+    out = substitute_shift(f, [phi], None, 5, 12)
+    assert out.trunc_v == 5
+    assert out == substitute_shift(f.truncate_v(5), [phi], None, 5, 12)
+
+
+def test_substitute_is_termwise_sum_in_target_order(rng):
+    # shared prefix products and the single accumulator give the sum of the
+    # per-key substitutions, keys listed in the order that sum meets them
+    for _ in range(20):
+        f = random_series(rng, n_h=2, n_v=2, n_terms=8, max_p=2,
+                          trunc_h=40, trunc_v=6)
+        shifts = [random_series(rng, n_h=2, n_v=2, n_terms=2, max_p=1,
+                                min_q=2, trunc_h=40, trunc_v=6)
+                  for _ in range(4)]
+        out = substitute_shift(f, shifts[:2], shifts[2:], 6, 40)
+        ref = FormalSeries.zero(2, 2, 40, 6)
+        for key, c in f.terms.items():
+            ref = ref.add(substitute_shift(f.like({key: c}), shifts[:2],
+                                           shifts[2:], 6, 40))
+        assert list(out.terms.items()) == list(ref.terms.items())
 
 
 def _inverse_shift(phi_h, phi_v, n_v, n_h):
