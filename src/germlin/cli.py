@@ -27,6 +27,7 @@ from .series import GridSpec
 from .toroidal import DeckLinearData, DomainSpec, ToroidalSpec
 
 PASS, FAIL, INPUT_ERROR = 0, 1, 2
+CONFIG_KEYS = frozenset({"command", "inputs", "params", "mode", "seed"})
 
 
 class ConfigError(ValueError):
@@ -59,6 +60,12 @@ def load_config(path: str, overrides: dict) -> dict:
     config.setdefault("params", {})
     config.setdefault("mode", "exact")
     config.setdefault("seed", 0)
+    unknown = sorted(set(config) - CONFIG_KEYS)
+    if config["command"] in PIPELINES:
+        known = PIPELINES[config["command"]][1]
+        unknown += [f"params.{k}" for k in sorted(set(config["params"]) - known)]
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     for key, value in overrides.items():
         if value is not None:
             config[key] = value
@@ -279,15 +286,20 @@ def _run_shilov(config: dict):
     return payload, PASS
 
 
+_FIXTURE_PARAMS = {"n_h", "d", "q", "n_v", "profile", "scale"}
+
+# command -> (pipeline, the params it reads); any other param is rejected
 PIPELINES = {
-    "toroidal-validate": _run_toroidal_validate,
-    "dioph-scan": _run_dioph_scan,
-    "linearize": _run_linearize,
-    "certify": _run_certify,
-    "hopf-classify": _run_hopf_classify,
-    "hopf-precheck": _run_hopf_precheck,
-    "hopf-cover": _run_hopf_cover,
-    "shilov": _run_shilov,
+    "toroidal-validate": (_run_toroidal_validate,
+                          {"height_bound", "epsilon", "rcap", "eta_depth"}),
+    "dioph-scan": (_run_dioph_scan, {"N", "scan_mode"}),
+    "linearize": (_run_linearize, _FIXTURE_PARAMS | {"lin_mode"}),
+    "certify": (_run_certify, _FIXTURE_PARAMS | {"h_radius_lo", "h_radius_hi",
+                                                 "v_radius", "angles"}),
+    "hopf-classify": (_run_hopf_classify, {"exp_bound", "variant"}),
+    "hopf-precheck": (_run_hopf_precheck, {"n_v", "exp_bound"}),
+    "hopf-cover": (_run_hopf_cover, {"delta", "r1", "mc_points"}),
+    "shilov": (_run_shilov, {"delta", "r1", "band", "coord", "fields", "alpha"}),
 }
 
 
@@ -297,7 +309,7 @@ def run(config: dict) -> tuple[dict, int]:
     if command not in PIPELINES:
         raise ConfigError(f"unknown command {command!r}")
     started = time.time()
-    payload, code = PIPELINES[command](config)
+    payload, code = PIPELINES[command][0](config)
     report = {
         "command": command,
         "config": {k: config[k] for k in ("command", "inputs", "params",

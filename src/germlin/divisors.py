@@ -76,19 +76,25 @@ def divisor(decks: DeckLinearData, p: Sequence[int], q: Sequence[int],
     return scalars.magnitude(divisor_scalar(decks, p, q, kind, comp, l, direction))
 
 
-def _is_zero_divisor(value, mode: str, scale: float = 1.0) -> bool:
-    if mode == EXACT:
+def _is_zero_divisor(value, decks: DeckLinearData, l: int, p, q) -> bool:
+    """Exactly zero, or in float mode below eps relative to |lam_l^P mu_l^Q|."""
+    if decks.mode == EXACT:
         return not value
+    scale = scalars.magnitude(decks.lam_pow(l, p) * decks.mu_pow(l, q))
     return abs(value) < FLOAT_RESONANCE_EPS * (1.0 + scale)
 
 
 def max_divisor(decks: DeckLinearData, p, q, kind: str, comp: int,
-                direction: str = "forward"):
+                direction: str = "forward", monomials=None):
     """(best deck index, divisor scalar) maximizing the modulus; ties go to
-    the smallest index."""
+    the smallest index.  ``monomials[l]``, when given, is the forward
+    lam_l^P mu_l^Q already read from the decks' table."""
     best_l, best_val, best_mag = 0, None, None
     for l in range(decks.q):
-        val = divisor_scalar(decks, p, q, kind, comp, l, direction)
+        if monomials is None:
+            val = divisor_scalar(decks, p, q, kind, comp, l, direction)
+        else:
+            val = monomials[l] - _eigen(decks, kind, comp, l)
         mag = scalars.abs2(val)
         if best_mag is None or mag > best_mag:
             best_l, best_val, best_mag = l, val, mag
@@ -185,7 +191,9 @@ def _fit_envelope(points: list[tuple[int, float]]):
 def diophantine_scan(decks: DeckLinearData, n: int, mode: str = "vertical") -> DiophantineReport:
     """Enumerate all (P, Q) with |P| + |Q| <= n, |Q| > 1 and record the
     max-over-decks divisor per target; fit (D, tau) so the lower bound
-    D / (|P|+|Q|)^tau holds strictly at every scanned point.
+    D / (|P|+|Q|)^tau holds strictly at every scanned point.  Each point
+    forms lam_l^P mu_l^Q once per deck, from the decks' power table, and
+    every target reads those monomials.
 
     Exact zeros are resonances: the report then carries the witnesses and
     no (D, tau) fit, and downstream solvers must refuse.
@@ -207,12 +215,13 @@ def diophantine_scan(decks: DeckLinearData, n: int, mode: str = "vertical") -> D
             for p_norm in range(0, n - q_norm + 1):
                 for p_vec in signed_vectors(p_norm, decks.n_h):
                     size = p_norm + q_norm
+                    monos = [decks.lam_pow(l, p_vec) * decks.mu_pow(l, q_vec)
+                             for l in range(decks.q)]
                     for target in targets:
                         kind, comp = target
-                        l, val = max_divisor(decks, p_vec, q_vec, kind, comp)
-                        scale = scalars.magnitude(
-                            decks.lam_pow(l, p_vec) * decks.mu_pow(l, q_vec))
-                        if _is_zero_divisor(val, decks.mode, scale):
+                        l, val = max_divisor(decks, p_vec, q_vec, kind, comp,
+                                             monomials=monos)
+                        if _is_zero_divisor(val, decks, l, p_vec, q_vec):
                             resonances.append((p_vec, q_vec, target))
                             continue
                         mag = scalars.magnitude(val)
@@ -368,8 +377,7 @@ def solve_family(sys: CochainSystem, report: DiophantineReport | None = None) ->
             coeff = sys.F[l][k].terms.get(key)
             if coeff is None:
                 continue
-            scale = scalars.magnitude(decks.lam_pow(l, key.P) * decks.mu_pow(l, key.Q))
-            if _is_zero_divisor(val, decks.mode, scale):
+            if _is_zero_divisor(val, decks, l, key.P, key.Q):
                 raise ResonanceError(f"resonant divisor at key {key}")
             acc[key] = coeff / val
         out.append(template.like(acc))
@@ -386,8 +394,7 @@ def solve_single(i: int, f_vec: Sequence[FormalSeries], decks: DeckLinearData,
         acc = {}
         for key, coeff in comp.terms.items():
             val = divisor_scalar(decks, key.P, key.Q, tkind, tcomp, i, direction)
-            scale = scalars.magnitude(decks.lam_pow(i, key.P) * decks.mu_pow(i, key.Q))
-            if _is_zero_divisor(val, decks.mode, scale):
+            if _is_zero_divisor(val, decks, i, key.P, key.Q):
                 raise ResonanceError(f"resonant denominator at key {key}")
             acc[key] = coeff / val
         out.append(comp.like(acc))

@@ -223,14 +223,18 @@ class DeckLinearData:
 
     ``lam[l][i]`` scales horizontal coordinate i under deck l, ``mu[l][j]``
     scales vertical coordinate j.  Entries are exact Gaussian rationals or
-    complex floats; the mode is uniform.
+    complex floats; the mode is uniform.  The instance is treated as
+    immutable: ``lam_pow``/``mu_pow`` memoize ``lam_l^P`` and ``mu_l^Q`` in
+    one divisor table, shared by the scan and the solvers, with one entry
+    per deck and exponent asked for: q (#P + #Q), never one per (P, Q).
     """
 
-    __slots__ = ("lam", "mu", "mode")
+    __slots__ = ("lam", "mu", "mode", "_table")
 
     def __init__(self, lam: Sequence[Sequence], mu: Sequence[Sequence]):
         self.lam = tuple(tuple(row) for row in lam)
         self.mu = tuple(tuple(row) for row in mu)
+        self._table = {}
         if not self.lam or len(self.lam) != len(self.mu):
             raise GeometryError("lambda and mu need one row per deck")
         widths_l = {len(r) for r in self.lam}
@@ -259,19 +263,22 @@ class DeckLinearData:
     def d(self) -> int:
         return len(self.mu[0])
 
-    def lam_pow(self, l: int, p: Sequence[int]):
-        out = QC(1) if self.mode == EXACT else 1 + 0j
-        for base, e in zip(self.lam[l], p):
-            if e:
-                out = out * base ** e
+    def _pow(self, rows, l: int, exps: Sequence[int]):
+        key = (rows is self.mu, l, tuple(exps))
+        out = self._table.get(key)
+        if out is None:
+            out = QC(1) if self.mode == EXACT else 1 + 0j
+            for base, e in zip(rows[l], key[2]):
+                if e:
+                    out = out * base ** e
+            self._table[key] = out
         return out
 
+    def lam_pow(self, l: int, p: Sequence[int]):
+        return self._pow(self.lam, l, p)
+
     def mu_pow(self, l: int, q_exp: Sequence[int]):
-        out = QC(1) if self.mode == EXACT else 1 + 0j
-        for base, e in zip(self.mu[l], q_exp):
-            if e:
-                out = out * base ** e
-        return out
+        return self._pow(self.mu, l, q_exp)
 
     def __repr__(self):
         return f"DeckLinearData(q={self.q}, n_h={self.n_h}, d={self.d}, mode={self.mode!r})"

@@ -233,3 +233,26 @@ def test_cli_seed_override(tmp_path):
     code = main(["--config", cfg, "--out", str(out), "--seed", "9"])
     assert code == 0
     assert json.loads(out.read_text())["config"]["seed"] == 9
+
+
+def test_unknown_top_level_key_is_input_error(tmp_path):
+    write(tmp_path / "decks.json", decks_json())
+    cfg = write(tmp_path / "cfg.json", {
+        "command": "dioph-scan", "threads": 8, "inputs": {"decks": "decks.json"},
+        "params": {"N": 4}})
+    assert main(["--config", cfg]) == 2
+
+
+def test_unknown_param_is_input_error(tmp_path):
+    write(tmp_path / "decks.json", decks_json())
+    cfg = write(tmp_path / "cfg.json", {
+        "command": "dioph-scan", "inputs": {"decks": "decks.json"},
+        "params": {"N": 4, "bogus": 1}})
+    assert main(["--config", cfg]) == 2
+
+
+def test_param_of_another_pipeline_is_input_error(tmp_path):
+    # lin_mode is read by linearize, not by certify
+    cfg = write(tmp_path / "cfg.json", {
+        "command": "certify", "params": {"n_v": 3, "lin_mode": "full"}})
+    assert main(["--config", cfg]) == 2

@@ -1,7 +1,8 @@
-"""Byte-identity guard: the payload sha256 of small fixed exact configs.
+"""Byte-identity guard: the payload sha256 of small fixed configs, exact
+and (for one scan) float.
 
 A change to the series kernel, the solvers or the fixture generator must
-leave every exact payload byte for byte as it was.  A change that alters a
+leave every pinned payload byte for byte as it was.  A change that alters a
 payload on purpose updates the pin here and says why.
 """
 
@@ -11,6 +12,19 @@ import json
 import pytest
 
 from test_cli import decks_json, hopf_spec_json, resonant_decks_json, run_cli, write
+
+
+def two_deck_json():
+    """q = 2, n_h = 2, d = 1: at N = 8 a full scan takes deck 1 at about a
+    third of its (point, target) pairs, so deck selection shows in the
+    payload."""
+    def c(re, im="0"):
+        return {"re": re, "im": im}
+
+    return {"lambda": [[c("3/5", "4/5"), c("5/13", "12/13")],
+                       [c("8/17", "15/17"), c("7/25", "24/25")]],
+            "mu": [[c("1/2")], [c("1/3", "1/5")]]}
+
 
 CONFIGS = {
     "linearize-full-111": {
@@ -34,6 +48,12 @@ CONFIGS = {
     "dioph-scan-full": {
         "command": "dioph-scan", "inputs": {"decks": "decks.json"},
         "params": {"N": 8, "scan_mode": "full"}},
+    "dioph-scan-two-decks": {
+        "command": "dioph-scan", "inputs": {"decks": "decks2.json"},
+        "params": {"N": 8, "scan_mode": "full"}},
+    "dioph-scan-two-decks-float": {
+        "command": "dioph-scan", "mode": "float", "inputs": {"decks": "decks2.json"},
+        "params": {"N": 8, "scan_mode": "full"}},
     "dioph-scan-resonant": {
         "command": "dioph-scan", "inputs": {"decks": "bad.json"},
         "params": {"N": 6}},
@@ -47,6 +67,8 @@ PINS = {
     "certify-111": "530af14607dd21c98d608c1de7ef021192a7443da9993cfbb8d1b27fc630c231",
     "dioph-scan-full": "4aa93228091f4d456fdbaf37a27fb49b780d85429e0f49449b691e07eceb119b",
     "dioph-scan-resonant": "4350a9d93f734b34b197503364f34bc597b56077b7b4e8cf5f3265ba804cc4ef",
+    "dioph-scan-two-decks": "8674acfa8083da0dfc510465c10aebabe363f1542d17a9d5300d7857c98b3daa",
+    "dioph-scan-two-decks-float": "980a385c17d1f827036195de2819d4d6d3b2e05a8fc1ef4e5e7e0a2a2aabc5d9",
     "hopf-classify": "9bb1a5a6b0113704558d8ab10fd12f5f562c800efbd04f72202a9cec9b6773ef",
     "linearize-full-111": "a6ecd4937106ae91a81a29a9e37a2789273d09398e23576f873413935e7cb753",
     "linearize-full-122": "43f9938f2f3f9dc16683bfe497b6ce0348e9423f73005bce103c132f4f40f2f8",
@@ -59,6 +81,7 @@ PINS = {
 def test_payload_sha256_pinned(tmp_path, name):
     write(tmp_path / "decks.json", decks_json())
     write(tmp_path / "bad.json", resonant_decks_json())
+    write(tmp_path / "decks2.json", two_deck_json())
     write(tmp_path / "spec.json", hopf_spec_json())
     write(tmp_path / "bundle.json", {"beta": {"re": "0.2", "im": "0"}})
     _, report = run_cli(tmp_path, CONFIGS[name])
