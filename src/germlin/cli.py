@@ -60,6 +60,8 @@ def load_config(path: str, overrides: dict) -> dict:
     config.setdefault("params", {})
     config.setdefault("mode", "exact")
     config.setdefault("seed", 0)
+    if not isinstance(config["params"], dict):
+        raise ConfigError("config 'params' must be an object")
     unknown = sorted(set(config) - CONFIG_KEYS)
     if config["command"] in PIPELINES:
         known = PIPELINES[config["command"]][1]

@@ -251,6 +251,11 @@ def test_unknown_param_is_input_error(tmp_path):
     assert main(["--config", cfg]) == 2
 
 
+def test_params_not_an_object_is_input_error(tmp_path):
+    cfg = write(tmp_path / "cfg.json", {"command": "dioph-scan", "params": 5})
+    assert main(["--config", cfg]) == 2
+
+
 def test_param_of_another_pipeline_is_input_error(tmp_path):
     # lin_mode is read by linearize, not by certify
     cfg = write(tmp_path / "cfg.json", {
