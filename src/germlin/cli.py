@@ -2,9 +2,11 @@
 
 Exit codes: 0 for a passing run, 1 for a certified failure (resonance
 witness, failing checklist, uncovered point, nonzero residual), 2 for
-input errors.  Exact-mode payloads are deterministic: rerunning with the
-echoed config reproduces them byte for byte (timing lives outside the
-payload).
+input errors.  Only ``dioph-scan`` reads the config's ``mode`` (the
+coefficient field, ``exact`` or ``float``); the other pipelines run exact
+and reject ``float``.  Exact-mode payloads are deterministic: rerunning
+with the echoed config reproduces them byte for byte (timing lives outside
+the payload).
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import time
 from fractions import Fraction
 
 from . import __version__, hopf, linearize, toroidal
-from .divisors import diophantine_scan
-from .scalars import EXACT, FLOAT, QC
+from .divisors import IncompatibleSystem, ResonanceError, diophantine_scan
+from .scalars import FIELDS, QQI
 from .series import GridSpec
 from .toroidal import DeckLinearData, DomainSpec, ToroidalSpec
 
@@ -71,6 +73,10 @@ def load_config(path: str, overrides: dict) -> dict:
     for key, value in overrides.items():
         if value is not None:
             config[key] = value
+    if config["mode"] not in FIELDS:
+        raise ConfigError(f"unknown mode {config['mode']!r}")
+    if config["mode"] != QQI.name and config["command"] != "dioph-scan":
+        raise ConfigError(f"{config['command']} runs exact only; mode is read by dioph-scan")
     base = os.path.dirname(os.path.abspath(path))
     for name, rel in list(config["inputs"].items()):
         resolved = rel if os.path.isabs(rel) else os.path.join(base, rel)
@@ -94,14 +100,9 @@ def _input_digest(config: dict) -> str:
     return h.hexdigest()
 
 
-def _decks_from_json(data: dict, mode: str) -> DeckLinearData:
-    def dec(e):
-        if mode == EXACT:
-            return QC(Fraction(e["re"]), Fraction(e["im"]))
-        return complex(float(Fraction(e["re"])), float(Fraction(e["im"])))
-
-    lam = [[dec(e) for e in row] for row in data["lambda"]]
-    mu = [[dec(e) for e in row] for row in data["mu"]]
+def _decks_from_json(data: dict, field) -> DeckLinearData:
+    lam, mu = ([[field.from_strings(e["re"], e["im"]) for e in row]
+                for row in data[name]] for name in ("lambda", "mu"))
     return DeckLinearData(lam, mu)
 
 
@@ -131,7 +132,7 @@ def _run_toroidal_validate(config: dict):
 
 
 def _run_dioph_scan(config: dict):
-    decks = _decks_from_json(_read_json(config["inputs"]["decks"]), config["mode"])
+    decks = _decks_from_json(_read_json(config["inputs"]["decks"]), FIELDS[config["mode"]])
     params = config["params"]
     n = _int(params.get("N"), 12)
     scan_mode = params.get("scan_mode", "vertical")
@@ -148,7 +149,7 @@ def _fixture(config: dict):
     scale = Fraction(params.get("scale", "1/16"))
     decks = None
     if "decks" in config["inputs"]:
-        decks = _decks_from_json(_read_json(config["inputs"]["decks"]), EXACT)
+        decks = _decks_from_json(_read_json(config["inputs"]["decks"]), QQI)
     gen = linearize.generate_commuting_decks(int(config["seed"]), dims, n_v,
                                              profile, decks, scale)
     return gen, n_v
@@ -156,8 +157,10 @@ def _fixture(config: dict):
 
 def _run_linearize(config: dict):
     params = config["params"]
-    gen, n_v = _fixture(config)
     lin_mode = params.get("lin_mode", "full")
+    if lin_mode not in ("full", "vertical"):
+        raise ConfigError(f"unknown lin_mode {lin_mode!r}")
+    gen, n_v = _fixture(config)
     scan_mode = "full" if lin_mode == "full" else "vertical"
     report = diophantine_scan(gen.pert.decks, n_v + 4, scan_mode)
     payload = {"commutation_residual": linearize.check_commutation(gen.pert),
@@ -352,13 +355,16 @@ def main(argv=None) -> int:
                                      description=__doc__.splitlines()[0])
     parser.add_argument("--config", required=True, help="JSON run config")
     parser.add_argument("--out", help="write the JSON report here")
-    parser.add_argument("--mode", choices=(EXACT, FLOAT))
+    parser.add_argument("--mode", choices=tuple(FIELDS))
     parser.add_argument("--seed", type=int)
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config, {"mode": args.mode,
                                            "seed": args.seed})
         report, code = run(config)
+    except (ResonanceError, IncompatibleSystem) as exc:
+        print(f"certified failure: {exc}", file=sys.stderr)
+        return FAIL
     except (ConfigError, OSError, KeyError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR

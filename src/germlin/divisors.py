@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from . import scalars
-from .scalars import EXACT, QC
 from .series import FormalSeries, GridSpec, grid_sup_norm
 from .toroidal import DeckLinearData
 
@@ -38,11 +36,13 @@ class IncompatibleSystem(DivisorError):
     """The cochain family fails the pairwise compatibility identity."""
 
 
-def _eigen(decks: DeckLinearData, kind: str, comp: int, l: int):
+def _eigen(decks: DeckLinearData, kind: str, comp: int, l: int,
+           direction: str = "forward"):
+    lam, mu = decks.linear_factors(l, direction)
     if kind == "v":
-        return decks.mu[l][comp]
+        return mu[comp]
     if kind == "h":
-        return decks.lam[l][comp]
+        return lam[comp]
     raise DivisorError(f"unknown divisor target kind {kind!r}")
 
 
@@ -50,15 +50,12 @@ def divisor_scalar(decks: DeckLinearData, p: Sequence[int], q: Sequence[int],
                    kind: str, comp: int, l: int, direction: str = "forward"):
     """The exact divisor value lam_l^P mu_l^Q - eigen (inverse variant uses
     the inverted linear parts)."""
-    eig = _eigen(decks, kind, comp, l)
-    if direction == "forward":
-        return decks.lam_pow(l, p) * decks.mu_pow(l, q) - eig
     if direction == "inverse":
-        p_inv = [-x for x in p]
-        q_inv = [-x for x in q]
-        one = QC(1) if decks.mode == EXACT else 1 + 0j
-        return decks.lam_pow(l, p_inv) * decks.mu_pow(l, q_inv) - one / eig
-    raise DivisorError(f"unknown direction {direction!r}")
+        p, q = [-x for x in p], [-x for x in q]
+    elif direction != "forward":
+        raise DivisorError(f"unknown direction {direction!r}")
+    return (decks.lam_pow(l, p) * decks.mu_pow(l, q)
+            - _eigen(decks, kind, comp, l, direction))
 
 
 def divisor(decks: DeckLinearData, p: Sequence[int], q: Sequence[int],
@@ -73,15 +70,14 @@ def divisor(decks: DeckLinearData, p: Sequence[int], q: Sequence[int],
     width = decks.d if kind == "v" else decks.n_h
     if not (0 <= comp < width):
         raise DivisorError("component index out of range")
-    return scalars.magnitude(divisor_scalar(decks, p, q, kind, comp, l, direction))
+    return abs(divisor_scalar(decks, p, q, kind, comp, l, direction))
 
 
 def _is_zero_divisor(value, decks: DeckLinearData, l: int, p, q) -> bool:
-    """Exactly zero, or in float mode below eps relative to |lam_l^P mu_l^Q|."""
-    if decks.mode == EXACT:
-        return not value
-    scale = scalars.magnitude(decks.lam_pow(l, p) * decks.mu_pow(l, q))
-    return abs(value) < FLOAT_RESONANCE_EPS * (1.0 + scale)
+    """Exactly zero, or over CC below eps relative to |lam_l^P mu_l^Q|, a
+    scale formed only over CC."""
+    return decks.field.is_zero(value, lambda: FLOAT_RESONANCE_EPS * (
+        1.0 + abs(decks.lam_pow(l, p) * decks.mu_pow(l, q))))
 
 
 def max_divisor(decks: DeckLinearData, p, q, kind: str, comp: int,
@@ -90,12 +86,13 @@ def max_divisor(decks: DeckLinearData, p, q, kind: str, comp: int,
     the smallest index.  ``monomials[l]``, when given, is the forward
     lam_l^P mu_l^Q already read from the decks' table."""
     best_l, best_val, best_mag = 0, None, None
+    abs2 = decks.field.abs2
     for l in range(decks.q):
         if monomials is None:
             val = divisor_scalar(decks, p, q, kind, comp, l, direction)
         else:
             val = monomials[l] - _eigen(decks, kind, comp, l)
-        mag = scalars.abs2(val)
+        mag = abs2(val)
         if best_mag is None or mag > best_mag:
             best_l, best_val, best_mag = l, val, mag
     return best_l, best_val
@@ -224,7 +221,7 @@ def diophantine_scan(decks: DeckLinearData, n: int, mode: str = "vertical") -> D
                         if _is_zero_divisor(val, decks, l, p_vec, q_vec):
                             resonances.append((p_vec, q_vec, target))
                             continue
-                        mag = scalars.magnitude(val)
+                        mag = abs(val)
                         points.append((size, mag))
                         if mag < min_div:
                             min_div = mag
@@ -262,8 +259,8 @@ class CochainSystem:
             if len(vec) != width:
                 raise DivisorError("cochain vector has wrong component count")
             for s in vec:
-                if s.mode != self.decks.mode:
-                    raise DivisorError("series mode differs from deck mode")
+                if s.field is not self.decks.field:
+                    raise DivisorError("series field differs from deck field")
                 if not s.is_zero() and s.v_order() < 2:
                     raise DivisorError("cochain components must have v-order >= 2")
         if self.direction not in ("forward", "inverse"):
@@ -277,12 +274,9 @@ class CochainSystem:
         return component_target(self.decks, self.kind, k)
 
     def verify(self) -> bool:
-        """True when the pairwise compatibility identity holds (exactly in
-        exact mode, within tolerance in float mode)."""
-        residual = compatibility_residual(self)
-        if self.decks.mode == EXACT:
-            return residual == 0.0
-        return residual < FLOAT_COMPAT_TOL
+        """True when the pairwise compatibility identity holds (exactly over
+        QQI, within FLOAT_COMPAT_TOL over CC)."""
+        return _compatible(self, compatibility_residual(self))
 
 
 def system_width(decks: DeckLinearData, kind: str) -> int:
@@ -303,25 +297,14 @@ def component_target(decks: DeckLinearData, kind: str, k: int) -> tuple[str, int
     return ("h", k) if k < decks.n_h else ("v", k - decks.n_h)
 
 
-def _linear_factors(decks: DeckLinearData, i: int, direction: str):
-    lam_row, mu_row = decks.lam[i], decks.mu[i]
-    if direction == "forward":
-        return lam_row, mu_row
-    one = QC(1) if decks.mode == EXACT else 1 + 0j
-    return tuple(one / x for x in lam_row), tuple(one / x for x in mu_row)
-
-
 def apply_operator(decks: DeckLinearData, vec: Sequence[FormalSeries], i: int,
                    kind: str, direction: str = "forward") -> tuple[FormalSeries, ...]:
     """L_i (or L_{-i}) applied to a series vector."""
-    lam_f, mu_f = _linear_factors(decks, i, direction)
+    lam_f, mu_f = decks.linear_factors(i, direction)
     out = []
     for k, comp in enumerate(vec):
         tkind, tcomp = component_target(decks, kind, k)
-        eig = _eigen(decks, tkind, tcomp, i)
-        if direction == "inverse":
-            one = QC(1) if decks.mode == EXACT else 1 + 0j
-            eig = one / eig
+        eig = _eigen(decks, tkind, tcomp, i, direction)
         composed = comp.compose_linear(lam_f, mu_f)
         out.append(composed.sub(comp.scale(eig)))
     return tuple(out)
@@ -339,6 +322,10 @@ def compatibility_residual(sys: CochainSystem) -> float:
     return worst
 
 
+def _compatible(sys: CochainSystem, residual: float) -> bool:
+    return sys.decks.field.is_zero(residual, lambda: FLOAT_COMPAT_TOL)
+
+
 def _check_solvable(sys: CochainSystem, report: DiophantineReport | None):
     if report is not None:
         if report.has_resonance:
@@ -347,10 +334,7 @@ def _check_solvable(sys: CochainSystem, report: DiophantineReport | None):
         if wanted == "full" and report.mode != "full":
             raise DivisorError("full systems need a full-mode scan report")
     residual = compatibility_residual(sys)
-    if sys.decks.mode == EXACT:
-        if residual != 0.0:
-            raise IncompatibleSystem(f"compatibility residual {residual}")
-    elif residual >= FLOAT_COMPAT_TOL:
+    if not _compatible(sys, residual):
         raise IncompatibleSystem(f"compatibility residual {residual}")
 
 

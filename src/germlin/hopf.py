@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .scalars import QC, as_complex
+from .scalars import CC, QQI, as_complex, field_of
 from .divisors import signed_vectors
 
 EQ_TOL = 1e-12
@@ -34,7 +34,7 @@ class HopfError(ValueError):
 def _approx_eq(x, y, tol: float = EQ_TOL) -> bool:
     """Equality after normalizing by the larger modulus; exact when both
     operands are exact."""
-    if isinstance(x, QC) and isinstance(y, QC):
+    if field_of((x, y)) is QQI:
         return x == y
     xc, yc = as_complex(x), as_complex(y)
     scale = max(abs(xc), abs(yc), 1e-300)
@@ -51,12 +51,8 @@ def _exact_sqrt(frac: Fraction) -> Fraction | None:
 
 def _modulus(x):
     """|x| as an exact Fraction when possible, else float."""
-    if isinstance(x, QC):
-        root = _exact_sqrt(x.abs2())
-        if root is not None:
-            return root
-        return abs(x)
-    return abs(x)
+    root = _exact_sqrt(x.abs2()) if field_of((x,)) is QQI else None
+    return abs(x) if root is None else root
 
 
 @dataclass(frozen=True)
@@ -112,13 +108,11 @@ class HopfSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "HopfSpec":
-        def dec(e):
-            return QC(Fraction(e["re"]), Fraction(e["im"]))
-
         torsion = None
         if data.get("torsion"):
-            torsion = (int(data["torsion"]["m"]), dec(data["torsion"]["a"]))
-        return cls(tuple(dec(e) for e in data["alpha"]),
+            a = data["torsion"]["a"]
+            torsion = (int(data["torsion"]["m"]), QQI.from_strings(a["re"], a["im"]))
+        return cls(tuple(QQI.from_strings(e["re"], e["im"]) for e in data["alpha"]),
                    tuple(data.get("jordan_overdiag", ())), torsion)
 
 
@@ -144,11 +138,9 @@ class FlatBundle:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FlatBundle":
-        def dec(e):
-            return QC(Fraction(e["re"]), Fraction(e["im"]))
-
-        d_char = dec(data["d_char"]) if data.get("d_char") else None
-        return cls(dec(data["beta"]), d_char)
+        d, beta = data.get("d_char"), data["beta"]
+        return cls(QQI.from_strings(beta["re"], beta["im"]),
+                   QQI.from_strings(d["re"], d["im"]) if d else None)
 
 
 # ----------------------------------------------------------------------
@@ -156,12 +148,12 @@ class FlatBundle:
 
 
 def _power_product(values: Sequence, exponents: Sequence[int]):
-    exact = all(isinstance(v, QC) for v in values)
-    out = QC(1) if exact else 1 + 0j
+    """Exact when every value is, else over CC."""
+    field = field_of(values) or CC
+    out = field.one
     for v, e in zip(values, exponents):
         if e:
-            base = v if exact else as_complex(v)
-            out = out * base ** e
+            out = out * field.coerce(v) ** e
     return out
 
 
@@ -233,7 +225,7 @@ def classify_hopf(spec: HopfSpec, exp_bound: int = 8) -> ClassifyResult:
     if any(m2 <= m1 + EQ_TOL for m1, m2 in zip(mods, mods[1:])):
         return ClassifyResult("diagonal", None, exp_bound,
                               "moduli not strictly ordered")
-    one = QC(1) if all(isinstance(a, QC) for a in alpha) else 1 + 0j
+    one = (field_of(alpha) or CC).one
     for total in range(1, 2 * exp_bound + 1):
         for s in sorted(signed_vectors(total, spec.n)):
             pos = sum(e for e in s if e > 0)
@@ -377,27 +369,17 @@ def hopf_precheck(bundle: FlatBundle, spec: HopfSpec, n_v: int = 6,
         res = delta_membership(target, spec, 1, exp_bound)
         items.append(CheckItem(name, index, power, not res.member, res.witness))
 
-    for i, a in enumerate(alpha):
-        beta = bundle.beta
-        probe("beta*alpha", _mul(beta, a), i, 1)
-        probe("beta/alpha", _div(beta, a), i, 1)
+    beta = bundle.beta
+    # each product is exact when both of its factors are
+    pairs = [(field_of((beta, a)) or CC, a) for a in alpha]
+    for i, (field, a) in enumerate(pairs):
+        probe("beta*alpha", field.coerce(beta) * field.coerce(a), i, 1)
+        probe("beta/alpha", field.coerce(beta) / field.coerce(a), i, 1)
     for m in range(1, n_v + 1):
-        for i, a in enumerate(alpha):
-            target = _mul(_power_product([bundle.beta], [-m]), a)
-            probe("beta^-m*alpha", target, i, m)
+        beta_m = _power_product([beta], [-m])
+        for i, (field, a) in enumerate(pairs):
+            probe("beta^-m*alpha", field.coerce(beta_m) * field.coerce(a), i, m)
     return PrecheckReport(all(it.passed for it in items), items, exp_bound)
-
-
-def _mul(x, y):
-    if isinstance(x, QC) and isinstance(y, QC):
-        return x * y
-    return as_complex(x) * as_complex(y)
-
-
-def _div(x, y):
-    if isinstance(x, QC) and isinstance(y, QC):
-        return x / y
-    return as_complex(x) / as_complex(y)
 
 
 class H0Report(NamedTuple):

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from . import scalars
-from .scalars import EXACT, QC
+from .scalars import QC, QQI, as_complex
 from .series import FormalSeries, GridSpec, grid_sup_norm, series_to_dict, substitute_shift
 from .divisors import (
     CochainSystem, DiophantineReport, DivisorError, ResonanceError,
@@ -38,8 +37,8 @@ class LinearizeError(ValueError):
 # series-vector helpers
 
 
-def vec_zero(n_h, n_v, ncomp, trunc_h, trunc_v, mode) -> Vec:
-    return tuple(FormalSeries.zero(n_h, n_v, trunc_h, trunc_v, mode)
+def vec_zero(n_h, n_v, ncomp, trunc_h, trunc_v, field) -> Vec:
+    return tuple(FormalSeries.zero(n_h, n_v, trunc_h, trunc_v, field)
                  for _ in range(ncomp))
 
 
@@ -72,11 +71,6 @@ def vec_compose_linear(vec: Vec, h_factors, v_factors) -> Vec:
     return tuple(x.compose_linear(h_factors, v_factors) for x in vec)
 
 
-def _inv(values, mode):
-    one = scalars.one(mode)
-    return tuple(one / x for x in values)
-
-
 # ----------------------------------------------------------------------
 # deck perturbations
 
@@ -104,14 +98,10 @@ class DeckPerturbation:
                 if len(comps) != width:
                     raise LinearizeError("perturbation has wrong component count")
                 for s in comps:
-                    if (s.n_h, s.n_v) != (n_h, d) or s.mode != self.decks.mode:
+                    if (s.n_h, s.n_v) != (n_h, d) or s.field is not self.decks.field:
                         raise LinearizeError("perturbation series incompatible with decks")
                     if not s.is_zero() and s.v_order() < 2:
                         raise LinearizeError("perturbations must have v-order >= 2")
-
-    @property
-    def mode(self):
-        return self.decks.mode
 
     def stacked(self, i: int) -> Vec:
         return self.tau_h[i] + self.tau_v[i]
@@ -130,12 +120,6 @@ class DeckPerturbation:
             return self.inverse_parts(i)
         raise LinearizeError(f"unknown direction {direction!r}")
 
-    def linear_factors(self, i: int, direction: str):
-        lam, mu = self.decks.lam[i], self.decks.mu[i]
-        if direction == "forward":
-            return lam, mu
-        return _inv(lam, self.mode), _inv(mu, self.mode)
-
 
 def _invert_deck(pert: DeckPerturbation, i: int) -> Vec:
     """tau_i^{-1} - tauhat_i^{-1} at truncation.
@@ -145,8 +129,7 @@ def _invert_deck(pert: DeckPerturbation, i: int) -> Vec:
     difference is psi o tauhat^{-1}.  The degree window is that of
     :func:`invert_near_identity`.
     """
-    lam_inv = _inv(pert.decks.lam[i], pert.mode)
-    mu_inv = _inv(pert.decks.mu[i], pert.mode)
+    lam_inv, mu_inv = pert.decks.linear_factors(i, "inverse")
     psi_h, psi_v = invert_near_identity(vec_scale_each(pert.tau_h[i], lam_inv),
                                         vec_scale_each(pert.tau_v[i], mu_inv),
                                         pert.n_v, pert.n_h_budget)
@@ -157,8 +140,7 @@ def compose_decks(pert: DeckPerturbation, i: int, j: int) -> Vec:
     """Perturbation of tau_i o tau_j relative to tauhat_i tauhat_j."""
     decks, n_v, n_h = pert.decks, pert.n_v, pert.n_h_budget
     lam_i, mu_i = decks.lam[i], decks.mu[i]
-    lam_j_inv = _inv(decks.lam[j], pert.mode)
-    mu_j_inv = _inv(decks.mu[j], pert.mode)
+    lam_j_inv, mu_j_inv = decks.linear_factors(j, "inverse")
     star_i, star_j = pert.stacked(i), pert.stacked(j)
     # tauhat_i applied to tau*_j
     lin_part = (vec_scale_each(star_j[:decks.n_h], lam_i)
@@ -216,13 +198,13 @@ def default_linear_decks(n_h: int, d: int, q: int) -> DeckLinearData:
 
 
 def _random_perturbation(rng: random.Random, n_h, d, ncomp, n_v, trunc_h,
-                         scale: Fraction, mode=EXACT, horizontal_only=False,
+                         scale: Fraction, field=QQI, horizontal_only=False,
                          vertical_only=False) -> Vec:
     out = []
     for k in range(ncomp):
         terms = {}
         if (horizontal_only and k >= n_h) or (vertical_only and k < n_h):
-            out.append(FormalSeries.zero(n_h, d, trunc_h, n_v, mode))
+            out.append(FormalSeries.zero(n_h, d, trunc_h, n_v, field))
             continue
         for _ in range(rng.randint(1, 3)):
             p = tuple(rng.randint(-1, 1) for _ in range(n_h))
@@ -234,9 +216,8 @@ def _random_perturbation(rng: random.Random, n_h, d, ncomp, n_v, trunc_h,
                        Fraction(rng.randint(-2, 2), rng.randint(6, 16))) * scale
             if coeff:
                 terms[(p, tuple(q_exp))] = terms.get((p, tuple(q_exp)), QC(0)) + coeff
-        live = {k2: (v if mode == EXACT else v.to_complex())
-                for k2, v in terms.items() if v}
-        out.append(FormalSeries(n_h, d, live, trunc_h, n_v, mode))
+        live = {k2: field.coerce(v) for k2, v in terms.items() if v}
+        out.append(FormalSeries(n_h, d, live, trunc_h, n_v, field))
     return tuple(out)
 
 
@@ -296,7 +277,7 @@ def generate_commuting_decks(seed: int, dims: tuple[int, int, int], n_v: int,
     n_h_budget = (n_v + 1) * (max_p + 1) + max_p
     ncomp = n_h + d
     phi0 = _random_perturbation(rng, n_h, d, ncomp, n_v, n_h_budget, scale,
-                                decks.mode, horizontal_only, vertical_only)
+                                decks.field, horizontal_only, vertical_only)
     phi0_h, phi0_v = phi0[:n_h], phi0[n_h:]
     if n_v < 2:
         raise LinearizeError("truncation too small to express the perturbation")
@@ -349,12 +330,11 @@ def _vertical_rhs(pert: DeckPerturbation, phi_v: Vec, i: int, direction: str,
     truncated at v-degree ``n_v``."""
     n_h = pert.n_h_budget
     tau_h, tau_v = pert.parts(i, direction)
-    lam_f, mu_f = pert.linear_factors(i, direction)
+    lam_f, mu_f = pert.decks.linear_factors(i, direction)
     term_i = vec_substitute(tau_v, None, phi_v, n_v, n_h)
     shift = vec_substitute(tau_h, None, phi_v, n_v, n_h)
     psi = vec_compose_linear(phi_v, lam_f, mu_f)
-    inv_lam = _inv(lam_f, pert.mode)
-    shift_scaled = vec_scale_each(shift, inv_lam)
+    shift_scaled = vec_scale_each(shift, pert.decks.field.inv(lam_f))
     term_ii = vec_sub(vec_substitute(psi, shift_scaled, None, n_v, n_h), psi)
     return vec_sub(term_i, term_ii)
 
@@ -372,7 +352,7 @@ def vertical_linearize(pert: DeckPerturbation, n_v: int,
     _check_report(pert, report, "vertical")
     decks = pert.decks
     n_v = min(n_v, pert.n_v)
-    phi_v = vec_zero(decks.n_h, decks.d, decks.d, pert.n_h_budget, n_v, pert.mode)
+    phi_v = vec_zero(decks.n_h, decks.d, decks.d, pert.n_h_budget, n_v, decks.field)
     for m in range(2, n_v + 1):
         rhs = tuple(vec_homog(_vertical_rhs(pert, phi_v, i, direction, m), m, n_v)
                     for i in range(decks.q))
@@ -394,7 +374,7 @@ def full_linearize(pert: DeckPerturbation, n_v: int,
     decks = pert.decks
     n_v = min(n_v, pert.n_v)
     width = decks.n_h + decks.d
-    phi = vec_zero(decks.n_h, decks.d, width, pert.n_h_budget, n_v, pert.mode)
+    phi = vec_zero(decks.n_h, decks.d, width, pert.n_h_budget, n_v, decks.field)
     for m in range(2, n_v + 1):
         rhs = []
         for i in range(decks.q):
@@ -429,11 +409,11 @@ def conjugacy_residual(phi_v: Vec, pert: DeckPerturbation, n_v: int,
             for key, c in comp.terms.items():
                 k = key.q_size
                 if k <= n_v:
-                    per_degree[k] = max(per_degree[k], scalars.magnitude(c))
+                    per_degree[k] = max(per_degree[k], abs(c))
 
     for i in range(decks.q):
         tau_h, tau_v = pert.parts(i, direction)
-        lam_f, mu_f = pert.linear_factors(i, direction)
+        lam_f, mu_f = decks.linear_factors(i, direction)
         if mode == "full":
             full_phi = tuple(phi_h) + tuple(phi_v)
             composed = vec_compose_linear(full_phi, lam_f, mu_f)
@@ -444,7 +424,7 @@ def conjugacy_residual(phi_v: Vec, pert: DeckPerturbation, n_v: int,
         elif mode == "vertical":
             shift = vec_substitute(tau_h, None, phi_v, n_v, n_h_budget)
             psi = vec_compose_linear(phi_v, lam_f, mu_f)
-            shift_scaled = vec_scale_each(shift, _inv(lam_f, pert.mode))
+            shift_scaled = vec_scale_each(shift, decks.field.inv(lam_f))
             moved = vec_substitute(psi, shift_scaled, None, n_v, n_h_budget)
             lin = vec_scale_each(phi_v, mu_f)
             target = vec_substitute(tau_v, None, phi_v, n_v, n_h_budget)
@@ -703,8 +683,7 @@ def certify_domination(result: LinearizationResult, cert: MajorantCert,
         if cert.mode == "vertical" and decks is not None and cert.b_seq:
             for i in range(decks.q):
                 for sign, label in ((1, f"+e{i+1}"), (-1, f"-e{i+1}")):
-                    factors = [abs(scalars.as_complex(x)) ** sign
-                               for x in decks.lam[i]]
+                    factors = [abs(as_complex(x)) ** sign for x in decks.lam[i]]
                     shifted = grids[m].scaled(factors)
                     sup_b = max((grid_sup_norm(c.homogeneous_part(m), shifted)
                                  for c in comps), default=0.0)

@@ -1,9 +1,13 @@
-"""Exact Gaussian-rational scalars and coefficient-mode helpers.
+"""Exact Gaussian-rational scalars and the two coefficient fields.
 
-Series coefficients come in two flavours: exact mode uses :class:`QC`
-(complex numbers with ``Fraction`` real/imaginary parts, so equality is
-decidable) and float mode uses the builtin ``complex``.  All series and
-solver code is written against the common arithmetic protocol of the two.
+Coefficients, deck eigenvalues and divisors live in one of two fields:
+:data:`QQI`, the Gaussian rationals Q(i) with :class:`QC` elements
+(``Fraction`` parts, so equality is decidable and every zero test is
+exact), or :data:`CC`, the builtin ``complex`` floats, where each zero test
+compares a modulus with its own tolerance.  A field's ``name`` is the
+``"mode"`` of configs and series payloads.  The series and solver code does
+its arithmetic through the protocol ``QC`` and ``complex`` share, and asks
+the field for its constants, conversions, string codec and zero tests.
 """
 
 from __future__ import annotations
@@ -14,12 +18,11 @@ from typing import Union
 
 Rational = Union[int, Fraction]
 
-EXACT = "exact"
-FLOAT = "float"
-
-# float-mode coefficients below FLOAT_CLEAN_REL * (largest coefficient) are
+# float coefficients below FLOAT_CLEAN_REL * (largest coefficient) are
 # treated as accumulated noise and dropped
 FLOAT_CLEAN_REL = 1e-14
+# a float coefficient beyond the Laurent budget above this modulus overflows
+FLOAT_OVERFLOW_TOL = 1e-13
 
 
 class QC:
@@ -138,42 +141,99 @@ def _coerce(value):
     return NotImplemented
 
 
-def zero(mode: str):
-    return QC() if mode == EXACT else 0j
-
-
-def one(mode: str):
-    return QC(1) if mode == EXACT else 1 + 0j
-
-
 def as_complex(c) -> complex:
     return c.to_complex() if isinstance(c, QC) else complex(c)
 
 
-def abs2(c):
-    """Squared modulus; exact Fraction for QC, float otherwise."""
-    if isinstance(c, QC):
-        return c.abs2()
-    return c.real * c.real + c.imag * c.imag
+def _float(s: str) -> float:
+    """A decimal or 'p/q' string as the nearest float; a minus zero keeps its
+    sign, so ``repr`` output reads back bit for bit."""
+    x = float(Fraction(s))
+    return x if x or not s.lstrip().startswith("-") else -0.0
 
 
-def magnitude(c) -> float:
-    return abs(c)
+class _Field:
+    """``name``, ``zero``, ``one``; ``from_strings``/``to_strings``, the
+    (re, im) digit-string codec; ``coerce`` of a QC into the field; ``admits``
+    a series scaling factor; ``abs2``; and the zero tests: ``is_zero(x, tol)``
+    (strict, ``tol()`` is called only over CC), ``overflows(c)`` for a
+    coefficient past the Laurent budget and ``prune(terms)`` of a series."""
+
+    __slots__ = ()
+
+    def inv(self, values) -> tuple:
+        """Entrywise reciprocals ``one / x``."""
+        one = self.one
+        return tuple(one / x for x in values)
 
 
-def coeff_to_strings(c) -> tuple[str, str]:
-    """Serialize a coefficient as a (re, im) digit-string pair.
+class _GaussianRationals(_Field):
+    __slots__ = ()
+    name, zero, one = "exact", QC(), QC(1)
+    from_strings = staticmethod(QC.parse)
+    abs2 = staticmethod(QC.abs2)
 
-    Exact coefficients round-trip bit-exactly through ``Fraction``; float
-    coefficients use ``repr`` which round-trips by construction.
-    """
-    if isinstance(c, QC):
+    def to_strings(self, c) -> tuple[str, str]:
         return str(c.re), str(c.im)
-    z = complex(c)
-    return repr(z.real), repr(z.imag)
+
+    def coerce(self, c):
+        return c
+
+    def admits(self, factor) -> bool:
+        return isinstance(factor, (int, Fraction, QC))
+
+    def is_zero(self, x, tol) -> bool:
+        return not x
+
+    def overflows(self, c) -> bool:
+        return bool(c)
+
+    def prune(self, terms: dict):
+        for k in [k for k, c in terms.items() if not c]:
+            del terms[k]
 
 
-def coeff_from_strings(re: str, im: str, mode: str):
-    if mode == EXACT:
-        return QC(Fraction(re), Fraction(im))
-    return complex(float(re), float(im))
+class _ComplexFloats(_Field):
+    __slots__ = ()
+    name, zero, one = "float", 0j, 1 + 0j
+    coerce = staticmethod(as_complex)
+
+    def from_strings(self, re: str, im: str) -> complex:
+        return complex(_float(re), _float(im))
+
+    def to_strings(self, c) -> tuple[str, str]:
+        z = complex(c)
+        return repr(z.real), repr(z.imag)
+
+    def admits(self, factor) -> bool:
+        return True
+
+    def abs2(self, c) -> float:
+        return c.real * c.real + c.imag * c.imag
+
+    def is_zero(self, x, tol) -> bool:
+        return abs(x) < tol()
+
+    def overflows(self, c) -> bool:
+        return abs(c) > FLOAT_OVERFLOW_TOL
+
+    def prune(self, terms: dict):
+        """Drop coefficients at or below FLOAT_CLEAN_REL times the largest."""
+        if not terms:
+            return
+        floor = FLOAT_CLEAN_REL * max(abs(c) for c in terms.values())
+        for k in [k for k, c in terms.items() if abs(c) <= floor]:
+            del terms[k]
+
+
+QQI = _GaussianRationals()
+CC = _ComplexFloats()
+FIELDS = {QQI.name: QQI, CC.name: CC}
+
+
+def field_of(values):
+    """QQI when every value is a QC, CC when none is, None when mixed."""
+    exact = [isinstance(v, QC) for v in values]
+    if all(exact):
+        return QQI
+    return None if any(exact) else CC

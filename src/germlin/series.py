@@ -13,14 +13,12 @@ large enough -- nonzero overflow there raises.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import add as _add
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import scalars
-from .scalars import EXACT, FLOAT, QC
+from .scalars import FIELDS, QQI, as_complex
 
 
 class SeriesError(ValueError):
@@ -94,17 +92,17 @@ class GridSpec:
 class FormalSeries:
     """Finite map from exponent keys to nonzero coefficients."""
 
-    __slots__ = ("n_h", "n_v", "trunc_h", "trunc_v", "mode", "terms")
+    __slots__ = ("n_h", "n_v", "trunc_h", "trunc_v", "field", "terms")
 
     def __init__(self, n_h: int, n_v: int, terms: Mapping | None = None,
-                 trunc_h: int = 0, trunc_v: int = 0, mode: str = EXACT):
-        if mode not in (EXACT, FLOAT):
-            raise SeriesError(f"unknown coefficient mode {mode!r}")
+                 trunc_h: int = 0, trunc_v: int = 0, field=QQI):
+        if field not in FIELDS.values():
+            raise SeriesError(f"unknown coefficient field {field!r}")
         self.n_h = int(n_h)
         self.n_v = int(n_v)
         self.trunc_h = int(trunc_h)
         self.trunc_v = int(trunc_v)
-        self.mode = mode
+        self.field = field
         self.terms = {}
         if terms:
             for raw_key, coeff in terms.items():
@@ -116,47 +114,32 @@ class FormalSeries:
                 if key.p_size > self.trunc_h:
                     raise SeriesError("key beyond Laurent budget")
                 self.terms[key] = coeff
-            self._cleanup()
+            self.field.prune(self.terms)
 
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
-    def zero(cls, n_h, n_v, trunc_h, trunc_v, mode=EXACT):
-        return cls(n_h, n_v, None, trunc_h, trunc_v, mode)
+    def zero(cls, n_h, n_v, trunc_h, trunc_v, field=QQI):
+        return cls(n_h, n_v, None, trunc_h, trunc_v, field)
 
     @classmethod
-    def monomial(cls, n_h, n_v, p, q, coeff, trunc_h, trunc_v, mode=EXACT):
-        return cls(n_h, n_v, {(tuple(p), tuple(q)): coeff}, trunc_h, trunc_v, mode)
+    def monomial(cls, n_h, n_v, p, q, coeff, trunc_h, trunc_v, field=QQI):
+        return cls(n_h, n_v, {(tuple(p), tuple(q)): coeff}, trunc_h, trunc_v, field)
 
     @classmethod
-    def constant(cls, n_h, n_v, coeff, trunc_h, trunc_v, mode=EXACT):
+    def constant(cls, n_h, n_v, coeff, trunc_h, trunc_v, field=QQI):
         return cls.monomial(n_h, n_v, (0,) * n_h, (0,) * n_v, coeff,
-                            trunc_h, trunc_v, mode)
+                            trunc_h, trunc_v, field)
 
     def like(self, terms=None) -> "FormalSeries":
         out = FormalSeries(self.n_h, self.n_v, None, self.trunc_h,
-                           self.trunc_v, self.mode)
+                           self.trunc_v, self.field)
         if terms:
             for raw_key, coeff in terms.items():
                 out.terms[_key(*raw_key)] = coeff
-            out._cleanup()
+            out.field.prune(out.terms)
         return out
-
-    # ------------------------------------------------------------------
-    # maintenance
-
-    def _cleanup(self):
-        if self.mode == EXACT:
-            dead = [k for k, c in self.terms.items() if not c]
-        else:
-            if not self.terms:
-                return
-            peak = max(abs(c) for c in self.terms.values())
-            floor = scalars.FLOAT_CLEAN_REL * peak
-            dead = [k for k, c in self.terms.items() if abs(c) <= floor]
-        for k in dead:
-            del self.terms[k]
 
     # ------------------------------------------------------------------
     # inspection
@@ -177,12 +160,12 @@ class FormalSeries:
         return max((abs(c) for c in self.terms.values()), default=0.0)
 
     def coeff(self, p, q):
-        return self.terms.get(_key(p, q), scalars.zero(self.mode))
+        return self.terms.get(_key(p, q), self.field.zero)
 
     def __eq__(self, other):
         if not isinstance(other, FormalSeries):
             return NotImplemented
-        return (self.n_h, self.n_v, self.mode) == (other.n_h, other.n_v, other.mode) \
+        return (self.n_h, self.n_v, self.field) == (other.n_h, other.n_v, other.field) \
             and self.terms == other.terms
 
     def __hash__(self):
@@ -191,7 +174,7 @@ class FormalSeries:
     def __repr__(self):
         return (f"FormalSeries(n_h={self.n_h}, n_v={self.n_v}, "
                 f"terms={len(self.terms)}, trunc=({self.trunc_h},{self.trunc_v}), "
-                f"mode={self.mode!r})")
+                f"field={self.field.name!r})")
 
     # ------------------------------------------------------------------
     # ring operations
@@ -199,25 +182,29 @@ class FormalSeries:
     def _check_compat(self, other: "FormalSeries"):
         if (self.n_h, self.n_v) != (other.n_h, other.n_v):
             raise SeriesError("dimension mismatch")
-        if self.mode != other.mode:
-            raise SeriesError("coefficient mode mismatch")
+        if self.field is not other.field:
+            raise SeriesError("coefficient field mismatch")
 
     def _result_caps(self, other: "FormalSeries") -> tuple[int, int]:
         return min(self.trunc_h, other.trunc_h), min(self.trunc_v, other.trunc_v)
 
+    def _capped(self, acc: Mapping, cap_h: int, cap_v: int) -> "FormalSeries":
+        """Series like self holding acc: keys past cap_v dropped, nonzero ones
+        past cap_h refused, zeros pruned."""
+        out = FormalSeries(self.n_h, self.n_v, None, cap_h, cap_v, self.field)
+        out.terms = _filter_caps(acc, cap_h, cap_v, self.field)
+        self.field.prune(out.terms)
+        return out
+
     def add(self, other: "FormalSeries") -> "FormalSeries":
         self._check_compat(other)
-        cap_h, cap_v = self._result_caps(other)
-        out = FormalSeries(self.n_h, self.n_v, None, cap_h, cap_v, self.mode)
         acc = dict(self.terms)
         for k, c in other.terms.items():
             if k in acc:
                 acc[k] = acc[k] + c
             else:
                 acc[k] = c
-        out.terms = _filter_caps(acc, cap_h, cap_v, self.mode)
-        out._cleanup()
-        return out
+        return self._capped(acc, *self._result_caps(other))
 
     def neg(self) -> "FormalSeries":
         return self.like({k: -c for k, c in self.terms.items()})
@@ -226,7 +213,7 @@ class FormalSeries:
         return self.add(other.neg())
 
     def scale(self, factor) -> "FormalSeries":
-        if self.mode == EXACT and not isinstance(factor, (int, Fraction, QC)):
+        if not self.field.admits(factor):
             raise SeriesError("exact series scaled by inexact factor")
         return self.like({k: c * factor for k, c in self.terms.items()})
 
@@ -261,10 +248,7 @@ class FormalSeries:
                     acc[key] = acc[key] + prod
                 else:
                     acc[key] = prod
-        out = FormalSeries(self.n_h, self.n_v, None, cap_h, cap_v, self.mode)
-        out.terms = _filter_caps(acc, cap_h, cap_v, self.mode)
-        out._cleanup()
-        return out
+        return self._capped(acc, cap_h, cap_v)
 
     __add__ = add
     __sub__ = sub
@@ -281,15 +265,15 @@ class FormalSeries:
 
     def truncate_v(self, n_v_cap: int) -> "FormalSeries":
         out = FormalSeries(self.n_h, self.n_v, None, self.trunc_h,
-                           min(self.trunc_v, n_v_cap), self.mode)
+                           min(self.trunc_v, n_v_cap), self.field)
         out.terms = {k: c for k, c in self.terms.items()
                      if k.q_size <= n_v_cap}
         return out
 
     def with_caps(self, trunc_h: int, trunc_v: int) -> "FormalSeries":
         """Re-cap; raises if an existing nonzero key does not fit."""
-        out = FormalSeries(self.n_h, self.n_v, None, trunc_h, trunc_v, self.mode)
-        out.terms = _filter_caps(self.terms, trunc_h, trunc_v, self.mode)
+        out = FormalSeries(self.n_h, self.n_v, None, trunc_h, trunc_v, self.field)
+        out.terms = _filter_caps(self.terms, trunc_h, trunc_v, self.field)
         return out
 
     def compose_linear(self, h_factors: Sequence, v_factors: Sequence) -> "FormalSeries":
@@ -332,13 +316,13 @@ class FormalSeries:
         return self.like(out_terms)
 
 
-def _filter_caps(acc: Mapping, cap_h: int, cap_v: int, mode: str) -> dict:
+def _filter_caps(acc: Mapping, cap_h: int, cap_v: int, field) -> dict:
     out = {}
     for key, c in acc.items():
         if key.q_size > cap_v:
             continue
         if key.p_size > cap_h:
-            if (mode == EXACT and c) or (mode == FLOAT and abs(c) > 1e-13):
+            if field.overflows(c):
                 raise TruncationOverflow(
                     f"nonzero coefficient at |P|={key.p_size} exceeds Laurent "
                     f"budget {cap_h}")
@@ -386,7 +370,7 @@ def substitute_shift(f: FormalSeries, phi_h: Sequence[FormalSeries] | None,
 
     shifts = [p for p in phi_h + phi_v if p is not None and not p.is_zero()]
     for p in shifts:
-        if (p.n_h, p.n_v) != (f.n_h, f.n_v) or p.mode != f.mode:
+        if (p.n_h, p.n_v) != (f.n_h, f.n_v) or p.field is not f.field:
             raise SeriesError("shift series incompatible with target")
         if p.v_order() is not None and p.v_order() < 2:
             raise SeriesError("shift components must have v-order >= 2")
@@ -399,7 +383,7 @@ def substitute_shift(f: FormalSeries, phi_h: Sequence[FormalSeries] | None,
     # the final result fits, so work wide and re-cap at the end
     work_h = max(n_h, worst) + f.max_p_size() + 1
 
-    one = FormalSeries.constant(f.n_h, f.n_v, scalars.one(f.mode), work_h, n_v, f.mode)
+    one = FormalSeries.constant(f.n_h, f.n_v, f.field.one, work_h, n_v, f.field)
 
     # per slot the powers phi^0, phi^1, ... of its shift, extended on demand
     capped = [None if p is None else p.with_caps(work_h, n_v) for p in phi_h + phi_v]
@@ -443,11 +427,8 @@ def substitute_shift(f: FormalSeries, phi_h: Sequence[FormalSeries] | None,
                         del acc[key]
                         continue
                 acc[key] = term
-        res = FormalSeries.zero(f.n_h, f.n_v, work_h, n_v, f.mode)
-        res.terms = _filter_caps(acc, work_h, n_v, f.mode)
-        res._cleanup()
-        fcache[tag] = res
-        return res
+        fcache[tag] = f._capped(acc, work_h, n_v)
+        return fcache[tag]
 
     live = [(key, c) for key, c in f.terms.items() if key.q_size <= n_v]
     acc: dict[ExponentKey, object] = {}
@@ -472,11 +453,7 @@ def substitute_shift(f: FormalSeries, phi_h: Sequence[FormalSeries] | None,
                 first[k] = min(first[k], (rank, pos))
             else:
                 acc[k], first[k] = c * v, (rank, pos)
-    out = FormalSeries.zero(f.n_h, f.n_v, n_h, n_v, f.mode)
-    out.terms = _filter_caps({k: acc[k] for k in sorted(acc, key=first.__getitem__)},
-                             n_h, n_v, f.mode)
-    out._cleanup()
-    return out
+    return f._capped({k: acc[k] for k in sorted(acc, key=first.__getitem__)}, n_h, n_v)
 
 
 # ----------------------------------------------------------------------
@@ -501,7 +478,7 @@ def _grid_points(f_n_h: int, f_n_v: int, grid: GridSpec) -> list[np.ndarray]:
 def _evaluate(f: FormalSeries, coords: list[np.ndarray]) -> np.ndarray:
     if not coords:
         c0 = f.coeff((0,) * f.n_h, (0,) * f.n_v)
-        return np.array([scalars.as_complex(c0)])
+        return np.array([as_complex(c0)])
     total = coords[0].shape[0]
     acc = np.zeros(total, dtype=complex)
     powcache: dict[tuple[int, int], np.ndarray] = {}
@@ -513,7 +490,7 @@ def _evaluate(f: FormalSeries, coords: list[np.ndarray]) -> np.ndarray:
         return powcache[tag]
 
     for key, c in f.terms.items():
-        vals = np.full(total, scalars.as_complex(c))
+        vals = np.full(total, as_complex(c))
         for i, p in enumerate(key.P):
             if p:
                 vals = vals * cpow(i, p)
@@ -560,7 +537,7 @@ def cauchy_bound_check(f: FormalSeries, grid: GridSpec,
     worst = 0.0
     passed = True
     for q, terms in sorted(by_q.items()):
-        slice_series = FormalSeries(f.n_h, 0, None, f.trunc_h, 0, f.mode)
+        slice_series = FormalSeries(f.n_h, 0, None, f.trunc_h, 0, f.field)
         slice_series.terms = terms
         sup_slice = float(np.max(np.abs(_evaluate(slice_series, h_only_coords))))
         bound = sup_f / grid.v_radius ** sum(q)
@@ -579,21 +556,23 @@ def cauchy_bound_check(f: FormalSeries, grid: GridSpec,
 def series_to_dict(f: FormalSeries) -> dict:
     records = []
     for key in sorted(f.terms):
-        re, im = scalars.coeff_to_strings(f.terms[key])
+        re, im = f.field.to_strings(f.terms[key])
         records.append({"P": list(key.P), "Q": list(key.Q), "re": re, "im": im})
     return {
         "n_h": f.n_h, "n_v": f.n_v,
         "N_h": f.trunc_h, "N_v": f.trunc_v,
-        "mode": f.mode,
+        "mode": f.field.name,
         "records": records,
     }
 
 
 def series_from_dict(data: Mapping) -> FormalSeries:
-    mode = data["mode"]
+    field = FIELDS.get(data["mode"])
+    if field is None:
+        raise SeriesError(f"unknown coefficient field {data['mode']!r}")
     terms = {}
     for rec in data["records"]:
         key = _key(rec["P"], rec["Q"])
-        terms[key] = scalars.coeff_from_strings(rec["re"], rec["im"], mode)
+        terms[key] = field.from_strings(rec["re"], rec["im"])
     return FormalSeries(data["n_h"], data["n_v"], terms,
-                        data["N_h"], data["N_v"], mode)
+                        data["N_h"], data["N_v"], field)

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .scalars import EXACT, FLOAT, QC, as_complex
+from .scalars import as_complex, field_of
 
 LINALG_TOL = 1e-9
 
@@ -222,14 +222,14 @@ class DeckLinearData:
     """Diagonal linear parts of the q deck transformations.
 
     ``lam[l][i]`` scales horizontal coordinate i under deck l, ``mu[l][j]``
-    scales vertical coordinate j.  Entries are exact Gaussian rationals or
-    complex floats; the mode is uniform.  The instance is treated as
+    scales vertical coordinate j.  All entries lie in one coefficient
+    field, ``field`` (QQI or CC).  The instance is treated as
     immutable: ``lam_pow``/``mu_pow`` memoize ``lam_l^P`` and ``mu_l^Q`` in
     one divisor table, shared by the scan and the solvers, with one entry
     per deck and exponent asked for: q (#P + #Q), never one per (P, Q).
     """
 
-    __slots__ = ("lam", "mu", "mode", "_table")
+    __slots__ = ("lam", "mu", "field", "_table")
 
     def __init__(self, lam: Sequence[Sequence], mu: Sequence[Sequence]):
         self.lam = tuple(tuple(row) for row in lam)
@@ -242,11 +242,9 @@ class DeckLinearData:
         if len(widths_l) != 1 or len(widths_m) != 1:
             raise GeometryError("ragged eigenvalue rows")
         entries = [x for row in self.lam + self.mu for x in row]
-        exact = all(isinstance(x, QC) for x in entries)
-        inexact = all(not isinstance(x, QC) for x in entries)
-        if not (exact or inexact):
+        self.field = field_of(entries)
+        if self.field is None:
             raise GeometryError("mixed exact/float eigenvalue entries")
-        self.mode = EXACT if exact else FLOAT
         for x in entries:
             if not x:
                 raise GeometryError("deck eigenvalues must be nonzero")
@@ -267,7 +265,7 @@ class DeckLinearData:
         key = (rows is self.mu, l, tuple(exps))
         out = self._table.get(key)
         if out is None:
-            out = QC(1) if self.mode == EXACT else 1 + 0j
+            out = self.field.one
             for base, e in zip(rows[l], key[2]):
                 if e:
                     out = out * base ** e
@@ -280,8 +278,13 @@ class DeckLinearData:
     def mu_pow(self, l: int, q_exp: Sequence[int]):
         return self._pow(self.mu, l, q_exp)
 
+    def linear_factors(self, l: int, direction: str = "forward"):
+        """(lam_l, mu_l), or for the inverse deck their reciprocals."""
+        rows = self.lam[l], self.mu[l]
+        return rows if direction == "forward" else tuple(map(self.field.inv, rows))
+
     def __repr__(self):
-        return f"DeckLinearData(q={self.q}, n_h={self.n_h}, d={self.d}, mode={self.mode!r})"
+        return f"DeckLinearData(q={self.q}, n_h={self.n_h}, d={self.d}, field={self.field.name})"
 
 
 def deck_linear_parts(basis: LatticeBasis, mu: Sequence[Sequence[complex]]) -> DeckLinearData:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from germlin.scalars import QC
+from germlin.scalars import CC, QC, QQI
 from germlin.series import FormalSeries
 
 
@@ -13,7 +13,7 @@ def random_qc(rng: random.Random, span: int = 3, den: int = 8) -> QC:
 
 
 def random_series(rng: random.Random, n_h=1, n_v=1, max_p=3, max_q=3,
-                  n_terms=5, trunc_h=12, trunc_v=8, mode="exact",
+                  n_terms=5, trunc_h=12, trunc_v=8, field=QQI,
                   min_q=0) -> FormalSeries:
     terms = {}
     for _ in range(n_terms):
@@ -24,10 +24,10 @@ def random_series(rng: random.Random, n_h=1, n_v=1, max_p=3, max_q=3,
         if sum(abs(x) for x in p) > trunc_h or sum(q) > trunc_v:
             continue
         c = random_qc(rng)
-        if mode == "float":
+        if field is CC:
             c = c.to_complex()
         terms[(p, q)] = c
-    return FormalSeries(n_h, n_v, terms, trunc_h, trunc_v, mode)
+    return FormalSeries(n_h, n_v, terms, trunc_h, trunc_v, field)
 
 
 @pytest.fixture

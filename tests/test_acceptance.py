@@ -22,7 +22,7 @@ from germlin.linearize import (
     fit_majorant_constants, full_linearize, generate_commuting_decks,
     grid_ladder, majorant_functional_solve, vertical_linearize,
 )
-from germlin.scalars import QC
+from germlin.scalars import CC, QC
 from germlin.series import FormalSeries, GridSpec, cauchy_bound_check
 from germlin.toroidal import DeckLinearData, kappa0_estimate, kappa0_grid_check
 from conftest import random_series
@@ -35,7 +35,7 @@ def note(num, name):
 
 
 def to_float_series(s: FormalSeries) -> FormalSeries:
-    out = FormalSeries(s.n_h, s.n_v, None, s.trunc_h, s.trunc_v, "float")
+    out = FormalSeries(s.n_h, s.n_v, None, s.trunc_h, s.trunc_v, CC)
     out.terms = {k: c.to_complex() for k, c in s.terms.items()}
     return out
 

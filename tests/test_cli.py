@@ -261,3 +261,52 @@ def test_param_of_another_pipeline_is_input_error(tmp_path):
     cfg = write(tmp_path / "cfg.json", {
         "command": "certify", "params": {"n_v": 3, "lin_mode": "full"}})
     assert main(["--config", cfg]) == 2
+
+
+def test_unknown_mode_is_input_error(tmp_path, capsys):
+    # any mode but "exact" once ran a float scan
+    write(tmp_path / "decks.json", decks_json())
+    cfg = write(tmp_path / "cfg.json", {
+        "command": "dioph-scan", "mode": "banana", "inputs": {"decks": "decks.json"},
+        "params": {"N": 4}})
+    assert main(["--config", cfg]) == 2
+    assert "unknown mode 'banana'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("linearize", {"params": {"n_v": 3}}),
+    ("certify", {"params": {"n_v": 3}}),
+    ("hopf-classify", {"inputs": {"spec": "spec.json"}})])
+def test_float_mode_outside_dioph_scan_is_input_error(tmp_path, command, extra):
+    # linearize and certify ran exact while the report echoed "float"
+    write(tmp_path / "spec.json", hopf_spec_json())
+    cfg = write(tmp_path / "cfg.json", dict(extra, command=command))
+    assert main(["--config", cfg, "--mode", "exact"]) == 0
+    assert main(["--config", cfg, "--mode", "float"]) == 2
+    cfg = write(tmp_path / "cfg.json", dict(extra, command=command, mode="float"))
+    assert main(["--config", cfg]) == 2
+
+
+def test_unknown_lin_mode_is_input_error(tmp_path):
+    # "bogus" ran a vertical linearize and was echoed as given
+    cfg = write(tmp_path / "cfg.json", {
+        "command": "linearize", "params": {"n_v": 3, "lin_mode": "bogus"}})
+    assert main(["--config", cfg]) == 2
+
+
+def test_certified_solver_failures_exit_1(tmp_path, monkeypatch):
+    from germlin import cli
+    from germlin.divisors import IncompatibleSystem, ResonanceError
+    from germlin.linearize import LinearizeError
+
+    write(tmp_path / "decks.json", decks_json())
+    cfg = write(tmp_path / "cfg.json", {
+        "command": "dioph-scan", "inputs": {"decks": "decks.json"}, "params": {"N": 4}})
+    for exc, code in ((ResonanceError, 1), (IncompatibleSystem, 1),
+                      (LinearizeError, 2)):
+        def raiser(config, exc=exc):
+            raise exc("planted")
+
+        monkeypatch.setitem(cli.PIPELINES, "dioph-scan",
+                            (raiser, cli.PIPELINES["dioph-scan"][1]))
+        assert main(["--config", cfg]) == code

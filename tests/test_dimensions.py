@@ -14,7 +14,7 @@ from germlin.linearize import (
     check_commutation, full_linearize, generate_commuting_decks,
     vertical_linearize,
 )
-from germlin.scalars import QC
+from germlin.scalars import CC, QC
 from germlin.series import (
     FormalSeries, GridSpec, SeriesError, TruncationOverflow, substitute_shift,
 )
@@ -89,14 +89,14 @@ def test_domain_spec_table_lookup_and_validation():
 
 def test_mode_mismatch_rejected():
     f = FormalSeries.monomial(1, 1, (0,), (2,), QC(1), 8, 8)
-    g = FormalSeries.monomial(1, 1, (0,), (2,), 1 + 0j, 8, 8, mode="float")
+    g = FormalSeries.monomial(1, 1, (0,), (2,), 1 + 0j, 8, 8, field=CC)
     with pytest.raises(SeriesError):
         f.add(g)
 
 
 def test_float_cleanup_drops_relative_noise():
     f = FormalSeries(1, 1, {((0,), (2,)): 1.0 + 0j,
-                            ((1,), (2,)): 1e-16 + 0j}, 8, 8, mode="float")
+                            ((1,), (2,)): 1e-16 + 0j}, 8, 8, field=CC)
     assert len(f.terms) == 1
 
 

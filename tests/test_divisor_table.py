@@ -18,7 +18,7 @@ from germlin import divisors
 from germlin.divisors import (
     TAU_LADDER, CochainSystem, apply_operator, diophantine_scan, solve_family,
 )
-from germlin.scalars import QC
+from germlin.scalars import QC, QQI
 from germlin.series import FormalSeries
 from germlin.toroidal import DeckLinearData
 
@@ -49,7 +49,7 @@ def scan_points(n, n_h, d):
 def reference_divisors(decks, p, q, kind, comp):
     """Every deck's divisor at (P, Q) for one target, and the deck of the
     largest modulus (the first one on ties)."""
-    exact = decks.mode == "exact"
+    exact = decks.field is QQI
     one = QC(1) if exact else 1 + 0j
     monos = [_power_product(one, decks.lam[l], p) * _power_product(one, decks.mu[l], q)
              for l in range(decks.q)]
@@ -60,7 +60,7 @@ def reference_divisors(decks, p, q, kind, comp):
 
 
 def reference_report(decks, n, scan_mode):
-    exact = decks.mode == "exact"
+    exact = decks.field is QQI
     targets = [("v", j) for j in range(decks.d)]
     if scan_mode == "full":
         targets += [("h", i) for i in range(decks.n_h)]
@@ -202,3 +202,16 @@ def test_power_table_memoizes_and_stays_bounded():
               if sum(map(abs, p)) <= n - 2)
     n_q = sum(1 for q in itertools.product(range(n + 1), repeat=2) if 2 <= sum(q) <= n)
     assert len(decks._table) <= decks.q * (n_p + n_q)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(deck_sets(exact=True, planted=False), st.integers(3, 6),
+       st.sampled_from(("vertical", "full")))
+def test_exact_and_float_scans_agree(case, n, scan_mode):
+    decks, _ = case
+    exact = diophantine_scan(decks, n, scan_mode)
+    assume(not exact.has_resonance)
+    rows = [[[x.to_complex() for x in row] for row in part] for part in (decks.lam, decks.mu)]
+    approx = diophantine_scan(DeckLinearData(*rows), n, scan_mode)
+    assert not approx.has_resonance
+    assert math.isclose(approx.min_divisor, exact.min_divisor, rel_tol=1e-9)

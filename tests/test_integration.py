@@ -10,6 +10,7 @@ from germlin.linearize import (
     check_commutation, full_linearize, generate_commuting_decks,
     vertical_linearize,
 )
+from germlin.scalars import CC
 from germlin.toroidal import (
     DomainSpec, ToroidalSpec, convex_extension_eta, deck_linear_parts,
     shear_to_standard, validate_irrationality,
@@ -28,7 +29,7 @@ def test_toroidal_pipeline_to_linearization():
     assert validate_irrationality(spec, 30).passed
     basis = shear_to_standard(spec)
     decks = deck_linear_parts(basis, [[0.5]])
-    assert decks.mode == "float"
+    assert decks.field is CC
     # deck moduli: e^{2 pi a} on the sheared coordinate, e^{-2 pi} on the
     # compact one
     assert abs(decks.lam[0][0]) == pytest.approx(math.exp(2 * math.pi * 0.05))

@@ -2,9 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from germlin.scalars import (
-    QC, abs2, as_complex, coeff_from_strings, coeff_to_strings,
-)
+from germlin.scalars import CC, QC, QQI, as_complex
 
 
 def test_field_arithmetic_exact():
@@ -37,11 +35,11 @@ def test_parse_decimal_and_rational_strings():
 
 def test_serialization_roundtrip_bit_exact():
     c = QC(Fraction(1, 3), Fraction(-7, 11))
-    re, im = coeff_to_strings(c)
-    assert coeff_from_strings(re, im, "exact") == c
+    re, im = QQI.to_strings(c)
+    assert QQI.from_strings(re, im) == c
     z = 0.1 + 0.2j
-    re, im = coeff_to_strings(z)
-    assert coeff_from_strings(re, im, "float") == z
+    re, im = CC.to_strings(z)
+    assert CC.from_strings(re, im) == z
 
 
 def test_mixed_coercion_and_hash():
@@ -51,7 +49,7 @@ def test_mixed_coercion_and_hash():
     assert 2 * a == QC(4)
     assert Fraction(1, 2) * a == QC(1)
     assert hash(QC(1, 0)) == hash(QC(Fraction(2, 2)))
-    assert abs2(0.6 + 0.8j) == pytest.approx(1.0)
+    assert CC.abs2(0.6 + 0.8j) == pytest.approx(1.0)
     assert as_complex(a) == 2 + 0j
 
 

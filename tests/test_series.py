@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from germlin.scalars import QC
+from germlin.scalars import CC, QC, QQI
 from germlin.series import (
     ExponentKey, FormalSeries, GridSpec, SeriesError, cauchy_bound_check,
     grid_sup_norm, series_from_dict, series_to_dict,
@@ -14,8 +14,8 @@ from germlin.series import (
 from conftest import random_qc, random_series
 
 
-def mono(p, q, c=QC(1), n_h=1, n_v=1, th=12, tv=8, mode="exact"):
-    return FormalSeries.monomial(n_h, n_v, p, q, c, th, tv, mode)
+def mono(p, q, c=QC(1), n_h=1, n_v=1, th=12, tv=8, field=QQI):
+    return FormalSeries.monomial(n_h, n_v, p, q, c, th, tv, field)
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +308,7 @@ def test_json_roundtrip_exact(rng):
 
 
 def test_json_roundtrip_float(rng):
-    f = random_series(rng, n_terms=9, mode="float")
+    f = random_series(rng, n_terms=9, field=CC)
     back = series_from_dict(json.loads(json.dumps(series_to_dict(f))))
     assert back.terms == f.terms
 
