@@ -55,6 +55,13 @@ def _modulus(x):
     return abs(x) if root is None else root
 
 
+def _enc(x) -> dict:
+    """An exact entry as its fractions, a float one as ``repr``; either
+    reads back through ``QQI.from_strings`` as the same number."""
+    re, im = field_of((x,)).to_strings(x)
+    return {"re": re, "im": im}
+
+
 @dataclass(frozen=True)
 class HopfSpec:
     """Contraction eigenvalues, Jordan flags, optional torsion generator."""
@@ -96,14 +103,10 @@ class HopfSpec:
         return tuple(as_complex(a) for a in self.alpha)
 
     def to_json_dict(self) -> dict:
-        def enc(x):
-            z = as_complex(x)
-            return {"re": repr(z.real), "im": repr(z.imag)}
-
-        data = {"alpha": [enc(a) for a in self.alpha],
+        data = {"alpha": [_enc(a) for a in self.alpha],
                 "jordan_overdiag": list(self.jordan_overdiag)}
         if self.torsion:
-            data["torsion"] = {"m": self.torsion[0], "a": enc(self.torsion[1])}
+            data["torsion"] = {"m": self.torsion[0], "a": _enc(self.torsion[1])}
         return data
 
     @classmethod
@@ -129,11 +132,9 @@ class FlatBundle:
             raise HopfError("beta must be nonzero")
 
     def to_json_dict(self) -> dict:
-        z = as_complex(self.beta)
-        out = {"beta": {"re": repr(z.real), "im": repr(z.imag)}}
+        out = {"beta": _enc(self.beta)}
         if self.d_char is not None:
-            w = as_complex(self.d_char)
-            out["d_char"] = {"re": repr(w.real), "im": repr(w.imag)}
+            out["d_char"] = _enc(self.d_char)
         return out
 
     @classmethod
@@ -412,30 +413,37 @@ def h0_monomial_oracle(bundle: FlatBundle, spec: HopfSpec,
 @dataclass(frozen=True)
 class NestedCoveringSpec:
     """Radii r_1 < r_2 < r_3 < r_4 = r_1/|alpha_j| per coordinate, margin
-    delta, and the per-coordinate expansion factor."""
+    delta, and the per-coordinate expansion factor.  The float bounds are
+    converted once: bands r -+ delta and boxes r_4 + delta / 2."""
 
     radii: tuple        # radii[i][j], i = 0..3
     delta: object       # Fraction or float, > 0
     expansion: tuple    # 1/|alpha_j| per coordinate
+
+    def __post_init__(self):
+        d = float(self.delta)
+        object.__setattr__(self, "_annuli", tuple(
+            tuple((float(r) - d, float(r) + d) for r in row) for row in self.radii))
+        object.__setattr__(self, "_boxes",
+                           tuple(float(r) + d / 2 for r in self.radii[3]))
 
     @property
     def n(self) -> int:
         return len(self.radii[0])
 
     def annulus(self, i: int, j: int) -> tuple[float, float]:
-        r = float(self.radii[i][j])
-        d = float(self.delta)
-        return (r - d, r + d)
+        return self._annuli[i][j]
 
     def box_bound(self, j: int) -> float:
-        return float(self.radii[3][j]) + float(self.delta) / 2
+        return self._boxes[j]
 
     def contains(self, i: int, j: int, z: Sequence[complex]) -> bool:
-        lo, hi = self.annulus(i, j)
+        """|z_j| inside band i of coordinate j, every other |z_m| inside the
+        box of coordinate m."""
+        lo, hi = self._annuli[i][j]
         if not lo < abs(z[j]) < hi:
             return False
-        bound = self.box_bound(j)
-        return all(abs(z[k]) < bound for k in range(self.n) if k != j)
+        return all(abs(z[m]) < self._boxes[m] for m in range(self.n) if m != j)
 
     def to_json_dict(self) -> dict:
         return {"delta": str(self.delta),
@@ -506,17 +514,44 @@ def _validate_covering(cov: NestedCoveringSpec, mods: list[float]):
                 f"delta too large: bands 1 and 3 of coordinate {j} overlap directly")
 
 
-def orbit_hits(cov: NestedCoveringSpec, spec: HopfSpec, z: Sequence[complex],
-               k_range=range(-40, 41)) -> set[tuple[int, int, int]]:
-    """All (band i, coordinate j, deck power k) with alpha^k z in the piece."""
+def orbit_hits(cov: NestedCoveringSpec, spec: HopfSpec,
+               z: Sequence[complex]) -> set[tuple[int, int, int]]:
+    """All (band i, coordinate j, deck power k) with alpha^k z in the piece.
+
+    The deck powers are solved for.  With a_m = log|alpha_m| < 0 and
+    l_m = log|z_m|, band (lo, hi) of coordinate j needs
+    (log hi - l_j) / a_j < k < (log lo - l_j) / a_j, and the box of every
+    other coordinate m with z_m != 0 needs k > (log box_m - l_m) / a_m; a
+    coordinate with z_j = 0 gives no hit.  Every k of that interval, widened
+    by one integer on each side, is checked with ``cov.contains`` on
+    alpha^k z.  Rounding moves the interval's ends by about
+    1e-15 (|log lo| + |l_j|) / |a_j|, and ``build_covering`` bounds |a_j| by
+    log((r + delta) / (r - delta)) (no band meets its own deck image), so
+    the widening catches every k the float predicate admits, however far z
+    lies from the covering.
+    """
     alpha = spec.alpha_complex()
+    n = cov.n
+    logs = [math.log(abs(a)) for a in alpha]
+    logz = [math.log(abs(x)) if x else None for x in z]
+    log_box = [math.log(cov.box_bound(m)) for m in range(n)]
+    powers: dict[int, list] = {}
     hits = set()
-    for k in k_range:
-        w = [a ** k * zz for a, zz in zip(alpha, z)]
-        if any(abs(x) > 10 * cov.box_bound(jj) for jj, x in enumerate(w)):
+    for j in range(n):
+        if logz[j] is None:
             continue
-        for j in range(cov.n):
-            for i in range(3):
+        k_box = max(((log_box[m] - logz[m]) / logs[m]
+                     for m in range(n) if m != j and logz[m] is not None),
+                    default=-math.inf)
+        for i in range(3):
+            lo, hi = cov.annulus(i, j)
+            k_lo = max((math.log(hi) - logz[j]) / logs[j], k_box)
+            k_hi = (math.log(lo) - logz[j]) / logs[j]
+            for k in range(math.floor(k_lo), math.ceil(k_hi) + 1):
+                w = powers.get(k)
+                if w is None:
+                    w = powers[k] = [a ** k * zz if zz else zz
+                                     for a, zz in zip(alpha, z)]
                 if cov.contains(i, j, w):
                     hits.add((i + 1, j, k))
     return hits

@@ -17,12 +17,11 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .scalars import as_complex, field_of
+from .scalars import CC, as_complex, field_of
 
 LINALG_TOL = 1e-9
 
@@ -110,11 +109,10 @@ class ToroidalSpec:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ToroidalSpec":
         def real_m(rows):
-            return [[float(Fraction(x)) for x in row] for row in rows]
+            return [[CC.from_strings(x, "0").real for x in row] for row in rows]
 
         def cplx_m(rows):
-            return [[complex(float(Fraction(e["re"])), float(Fraction(e["im"])))
-                     for e in row] for row in rows]
+            return [[CC.from_strings(e["re"], e["im"]) for e in row] for row in rows]
 
         return cls(int(data["n"]), int(data["a"]), int(data["b"]),
                    int(data["q"]), real_m(data["R1"]), real_m(data["R2"]),

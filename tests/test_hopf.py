@@ -1,10 +1,12 @@
 import cmath
+import json
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from germlin.hopf import (
     ClassifyResult, FlatBundle, HopfError, HopfSpec, NestedCoveringSpec,
@@ -49,6 +51,21 @@ def test_classify_generic_up_to_bound():
     res = classify_hopf(spec, 12)
     assert res.kind == "generic"
     assert res.witness is None
+
+
+def test_exact_spec_and_bundle_json_round_trip():
+    b = QC(Fraction(3, 5), Fraction(4, 5)) * qc(6, 7)
+    spec = HopfSpec((qc(1, 3), b ** 2, b))              # alpha_1 = alpha_2^2
+    back = HopfSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))
+    assert back == spec
+    res = classify_hopf(back, 4)
+    assert res.kind == "diagonal"
+    assert res.witness in (((0, 1, 0), (0, 0, 2)), ((0, 0, 2), (0, 1, 0)))
+    bundle = FlatBundle(qc(1, 3, 2, 7), qc(-1, 3))
+    data = json.loads(json.dumps(bundle.to_json_dict()))
+    assert FlatBundle.from_json_dict(data) == bundle
+    # float entries are written as before, as repr
+    assert FlatBundle(0.1 + 0.2j).to_json_dict() == {"beta": {"re": "0.1", "im": "0.2"}}
 
 
 def test_spec_rejects_bad_moduli():
@@ -266,6 +283,89 @@ def test_covering_monte_carlo_no_gap_no_triple():
         for j in range(2):
             bands = {i for (i, jj, _) in hits if jj == j}
             assert bands != {1, 2, 3}, f"triple overlap at {z}"
+
+
+def test_covering_bounds_each_coordinate_by_its_own_box():
+    spec = HopfSpec((qc(1, 2), qc(5, 9)))
+    cov = build_covering(spec, Fraction(18, 100), [Fraction(1), Fraction(1)])
+    assert cov.box_bound(1) < 2.0 < cov.box_bound(0)
+    # |z_1| = 2 lies outside the box of coordinate 1 though inside that of 0
+    assert not cov.contains(0, 0, [1.0, 2.0])
+    assert (1, 0, 0) not in orbit_hits(cov, spec, [1.0, 2.0])
+    # |z_0| = 2 lies inside its own box, so band 1 of coordinate 1 holds it
+    assert cov.contains(0, 1, [2.0, 1.0])
+    assert (1, 1, 0) in orbit_hits(cov, spec, [2.0, 1.0])
+
+
+def test_near_unit_covering_has_no_gap():
+    # deck powers up to about |k| = 150 are needed; none may be missed
+    spec = HopfSpec((qc(99, 100), qc(99, 100)))
+    cov = build_covering(spec, Fraction(1, 500), [Fraction(1), Fraction(1)])
+    rng = random.Random(0)
+    uncovered = 0
+    for _ in range(300):
+        z = [cmath.rect(rng.uniform(0.2, 3.0), rng.uniform(0, 2 * math.pi))
+             for _ in range(2)]
+        uncovered += not orbit_hits(cov, spec, z)
+    assert uncovered == 0
+
+
+def _margins(mod: float) -> list[float]:
+    """Ratios delta / r1 that build_covering accepts for modulus mod."""
+    spec = HopfSpec((mod + 0j, mod + 0j))
+    ok = []
+    for s in range(1, 60):
+        ratio = (1 - mod) * s / 60
+        try:
+            build_covering(spec, ratio, [1.0, 1.0])
+        except HopfError:
+            continue
+        ok.append(ratio)
+    return ok
+
+
+def _brute_force_hits(cov, spec, z):
+    """Every (band, coordinate, k) with cov.contains on alpha^k z, over a
+    window wider than any hit: |k| |log|alpha_j|| = |log b - log|z_j|| for
+    a band bound b of a hit coordinate j."""
+    alpha = spec.alpha_complex()
+    bounds = [b for i in range(4) for j in range(cov.n) for b in cov.annulus(i, j)]
+    span = (max(abs(math.log(b)) for b in bounds)
+            + max(abs(math.log(abs(x))) for x in z if x))
+    window = 2 * math.ceil(span / min(abs(math.log(abs(a))) for a in alpha)) + 2
+    hits = set()
+    for k in range(-window, window + 1):
+        try:
+            w = [a ** k * zz if zz else zz for a, zz in zip(alpha, z)]
+        except OverflowError:     # some |alpha_m^k z_m| is past any box
+            continue
+        hits |= {(i + 1, j, k) for j in range(cov.n) for i in range(3)
+                 if cov.contains(i, j, w)}
+    return hits
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_orbit_hits_equals_brute_force(data):
+    n = data.draw(st.sampled_from([2, 3]))
+    mods = sorted(data.draw(st.lists(st.floats(0.3, 0.995), min_size=n, max_size=n)))
+    delta = 0.01
+    # one margin per coordinate, scaled by its base radius; the boxes differ
+    r1 = []
+    for mod in mods:
+        margins = _margins(mod)
+        assume(margins)
+        r1.append(delta / data.draw(st.sampled_from(margins)))
+    phases = data.draw(st.lists(st.floats(0, 2 * math.pi), min_size=n, max_size=n))
+    spec = HopfSpec(tuple(cmath.rect(m, t) for m, t in zip(mods, phases)))
+    cov = build_covering(spec, delta, r1)
+    zero = data.draw(st.sampled_from([None] + list(range(n))))
+    for _ in range(3):
+        z = [cmath.rect(math.exp(data.draw(st.floats(-4, 5))),
+                        data.draw(st.floats(0, 2 * math.pi))) for _ in range(n)]
+        if zero is not None:
+            z[zero] = 0j
+        assert orbit_hits(cov, spec, z) == _brute_force_hits(cov, spec, z)
 
 
 # ----------------------------------------------------------------------

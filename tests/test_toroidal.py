@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -70,6 +71,21 @@ def test_spec_json_roundtrip():
     spec = basic_spec()
     back = ToroidalSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))
     assert np.allclose(back.period_matrix(), spec.period_matrix())
+
+
+def test_spec_json_keeps_minus_zero_bit_for_bit():
+    minus = complex(-0.0, -0.0)
+    spec = ToroidalSpec(n=2, a=0, b=0, q=1, R1=[[-0.0]], R2=[[SQRT3]],
+                        R3=[[complex(-0.0, 1.0)]], P0=[[1j]], P1=[[minus]])
+    data = json.loads(json.dumps(spec.to_json_dict()))
+    assert data["P1"][0][0] == {"re": "-0.0", "im": "-0.0"}
+    back = ToroidalSpec.from_json_dict(data)
+    for name in ("R1", "R2", "R3", "P0", "P1"):
+        for row, row_back in zip(getattr(spec, name), getattr(back, name)):
+            for x, y in zip(row, row_back):
+                x, y = complex(x), complex(y)
+                assert struct.pack("<dd", x.real, x.imag) == \
+                    struct.pack("<dd", y.real, y.imag), (name, x, y)
 
 
 # ----------------------------------------------------------------------
