@@ -26,7 +26,7 @@ from . import __version__, hopf, linearize, toroidal
 from .divisors import IncompatibleSystem, ResonanceError, diophantine_scan
 from .scalars import FIELDS, QQI
 from .series import GridSpec
-from .toroidal import DeckLinearData, DomainSpec, ToroidalSpec
+from .toroidal import DeckLinearData, ToroidalSpec
 
 PASS, FAIL, INPUT_ERROR = 0, 1, 2
 CONFIG_KEYS = frozenset({"command", "inputs", "params", "mode", "seed"})
@@ -115,18 +115,16 @@ def _run_toroidal_validate(config: dict):
     params = config["params"]
     bound = _int(params.get("height_bound"), 20)
     eps = _num(params.get("epsilon"), 0.25)
-    rcap = _num(params.get("rcap"), 1.0)
-    depth = _int(params.get("eta_depth"), 30)
     irr = toroidal.validate_irrationality(spec, bound)
     basis = toroidal.shear_to_standard(spec)
-    eta = toroidal.convex_extension_eta(spec, DomainSpec(eps, rcap), depth)
+    eta = toroidal.convex_extension_eta(spec, eps)
     payload = {
         "irrationality": {"passed": irr.passed, "bound": irr.bound,
                           "witness": list(irr.witness) if irr.witness else None},
         "gamma_prime": [[repr(complex(x)) for x in row]
                         for row in basis.gamma_prime.tolist()],
-        "extension": {"eta": eta.eta, "slab_halfwidth": eta.slab_halfwidth,
-                      "depth": eta.depth},
+        "extension": {"eta": float(eta.eta),
+                      "slab_halfwidth": float(eta.slab_halfwidth)},
     }
     return payload, PASS if irr.passed else FAIL
 
@@ -295,8 +293,7 @@ _FIXTURE_PARAMS = {"n_h", "d", "q", "n_v", "profile", "scale"}
 
 # command -> (pipeline, the params it reads); any other param is rejected
 PIPELINES = {
-    "toroidal-validate": (_run_toroidal_validate,
-                          {"height_bound", "epsilon", "rcap", "eta_depth"}),
+    "toroidal-validate": (_run_toroidal_validate, {"height_bound", "epsilon"}),
     "dioph-scan": (_run_dioph_scan, {"N", "scan_mode"}),
     "linearize": (_run_linearize, _FIXTURE_PARAMS | {"lin_mode"}),
     "certify": (_run_certify, _FIXTURE_PARAMS | {"h_radius_lo", "h_radius_hi",

@@ -651,11 +651,9 @@ def hopf_transition_graph(cov: NestedCoveringSpec, spec: HopfSpec,
     def interval(node, k):
         """Per-coordinate modulus intervals of the piece shifted by alpha^k."""
         i, j = node
-        lo, hi = cov.annulus(i - 1, j)
-        bound = cov.box_bound(j)
         rows = []
         for c in range(cov.n):
-            base = (lo, hi) if c == j else (0.0, bound)
+            base = cov.annulus(i - 1, j) if c == j else (0.0, cov.box_bound(c))
             s = mods[c] ** k
             rows.append((base[0] * s, base[1] * s))
         return rows

@@ -17,6 +17,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -422,98 +423,24 @@ def kappa0_grid_check(slab_im, epsilon, epsilon_prime, p_vec, result: Kappa0Resu
 
 
 class EtaReport(NamedTuple):
-    eta: float
-    slab_halfwidth: float
-    depth: int
+    eta: Fraction
+    slab_halfwidth: float | Fraction
 
 
-def _box_vertices(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    dims = len(lo)
-    verts = []
-    for mask in itertools.product((0, 1), repeat=dims):
-        verts.append([hi[i] if m else lo[i] for i, m in enumerate(mask)])
-    return np.asarray(verts)
+def convex_extension_eta(spec: ToroidalSpec, epsilon: float | Fraction) -> EtaReport:
+    """Largest margin eta with all +-1 deck translates of the
+    (epsilon+eta)-slab inside the hull of the 0, +-1, +-2 translates of
+    the epsilon-slab; it is 1/q for every epsilon.
 
-
-def _hull_membership(points: np.ndarray, dim: int):
-    """Return a predicate testing membership in conv(points)."""
-    if dim == 1:
-        lo, hi = float(points.min()), float(points.max())
-
-        def member(x) -> bool:
-            return lo - 1e-9 <= float(x[0]) <= hi + 1e-9
-
-        return member
-    from scipy.spatial import ConvexHull, QhullError
-    try:
-        hull = ConvexHull(points)
-    except QhullError as exc:
-        raise GeometryError("degenerate hull") from exc
-    eqs = hull.equations
-
-    def member(x) -> bool:
-        return bool(np.max(eqs[:, :-1] @ np.asarray(x) + eqs[:, -1]) <= 1e-9)
-
-    return member
-
-
-def extension_halfwidth(q: int, epsilon: float,
-                        translates: Sequence[Sequence[float]] | None = None,
-                        depth: int = 30) -> EtaReport:
-    """Largest certified margin eta with all +-1 translates of the
-    (epsilon+eta)-slab inside the hull of the 0,+-1,+-2 translate union.
-
-    Works in the slab coordinates after the standard base change, so the
-    default translates are the unit vectors.  The unbounded/box directions
-    are shared by every translate and drop out of the computation.
+    After the base change the deck translations are the unit steps e_i in
+    the q slab coordinates, and the shared unbounded/box directions drop
+    out.  With B = [-epsilon, 1+epsilon]^q, the hull of the translates is
+    B + 2C, where C = conv{+-e_i} is the l1 unit ball.  The translate
+    B + [-eta, eta]^q +- e_i lies in it if and only if, by Radstrom's
+    cancellation law (B is convex and bounded), [-eta, eta]^q +- e_i lies
+    in 2C: the l1 norm of its farthest vertex, 1 + q eta, is at most 2.
     """
     if epsilon <= 0:
         raise GeometryError("epsilon must be positive")
-    if translates is None:
-        translates = np.eye(q)
-    translates = np.asarray(translates, dtype=float).reshape(-1, q)
-
-    vertices = []
-    base_lo = np.full(q, -epsilon)
-    base_hi = np.full(q, 1 + epsilon)
-    shifts = [np.zeros(q)]
-    for t in translates:
-        for k in (-2, -1, 1, 2):
-            shifts.append(k * t)
-    for s in shifts:
-        vertices.append(_box_vertices(base_lo + s, base_hi + s))
-    cloud = np.vstack(vertices)
-    member = _hull_membership(cloud, q)
-
-    def feasible(eta: float) -> bool:
-        lo = np.full(q, -(epsilon + eta))
-        hi = np.full(q, 1 + epsilon + eta)
-        for t in translates:
-            for k in (-1, 1):
-                for v in _box_vertices(lo + k * t, hi + k * t):
-                    if not member(v):
-                        return False
-        return True
-
-    lo_eta, hi_eta = 0.0, 1.0
-    while feasible(hi_eta) and hi_eta < 2 ** 20:
-        lo_eta, hi_eta = hi_eta, 2 * hi_eta
-    if hi_eta >= 2 ** 20:
-        return EtaReport(lo_eta, epsilon + lo_eta, depth)
-    for _ in range(depth):
-        mid = 0.5 * (lo_eta + hi_eta)
-        if feasible(mid):
-            lo_eta = mid
-        else:
-            hi_eta = mid
-    return EtaReport(lo_eta, epsilon + lo_eta, depth)
-
-
-def convex_extension_eta(spec: ToroidalSpec, dom: DomainSpec,
-                         depth: int = 30) -> EtaReport:
-    """Extension margin for the deck-translate union of the given spec.
-
-    After the base change, the deck translations are exactly the unit
-    steps in the q slab coordinates.
-    """
-    return extension_halfwidth(spec.q, dom.epsilon, None, depth)
+    eta = Fraction(1, spec.q)
+    return EtaReport(eta, epsilon + eta)

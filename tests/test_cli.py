@@ -81,6 +81,16 @@ def test_toroidal_validate_witness_fails(tmp_path):
     assert report["payload"]["irrationality"]["witness"] == [6]
 
 
+@pytest.mark.parametrize("param", [{"rcap": 1.0}, {"eta_depth": 30}])
+def test_toroidal_validate_dropped_knobs_are_input_errors(tmp_path, param):
+    # rcap changed nothing and eta = 1/q needs no search depth
+    write(tmp_path / "spec.json", toroidal_spec_json())
+    cfg = write(tmp_path / "cfg.json", {
+        "command": "toroidal-validate", "inputs": {"spec": "spec.json"},
+        "params": {"height_bound": 6, **param}})
+    assert main(["--config", cfg]) == 2
+
+
 def test_dioph_scan_clean_and_resonant(tmp_path):
     write(tmp_path / "decks.json", decks_json())
     code, report = run_cli(tmp_path, {

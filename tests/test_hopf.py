@@ -297,6 +297,18 @@ def test_covering_bounds_each_coordinate_by_its_own_box():
     assert (1, 1, 0) in orbit_hits(cov, spec, [2.0, 1.0])
 
 
+def test_transition_graph_bounds_each_coordinate_by_its_own_box():
+    # built by hand: coordinate 1's box (0, 2.05) lies below band 3 of
+    # coordinate 0, (5.9, 6.1), even after one deck shift
+    spec = HopfSpec((qc(1, 2), qc(1, 2)))
+    cov = NestedCoveringSpec(((4, 1), (5, 1.2), (6, 1.5), (8, 2)), 0.1, (2, 2))
+    assert cov.box_bound(1) / 0.5 < cov.annulus(2, 0)[0] < cov.box_bound(0)
+    graph = hopf_transition_graph(cov, spec, FlatBundle(0.5 + 0j))
+    # piece (3, 0) holds |z_1| = 1 inside coordinate 1's own box, and piece
+    # (1, 1) holds |z_0| = 6 inside coordinate 0's own box
+    assert graph.edges[((3, 0), (1, 1))] == 1
+
+
 def test_near_unit_covering_has_no_gap():
     # deck powers up to about |k| = 150 are needed; none may be missed
     spec = HopfSpec((qc(99, 100), qc(99, 100)))

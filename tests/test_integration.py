@@ -12,7 +12,7 @@ from germlin.linearize import (
 )
 from germlin.scalars import CC
 from germlin.toroidal import (
-    DomainSpec, ToroidalSpec, convex_extension_eta, deck_linear_parts,
+    ToroidalSpec, convex_extension_eta, deck_linear_parts,
     shear_to_standard, validate_irrationality,
 )
 
@@ -51,5 +51,5 @@ def test_toroidal_pipeline_to_linearization():
                          gen.phi0_h + gen.phi0_v):
         assert got.sub(want.truncate_v(3)).max_abs() < 1e-10
 
-    eta = convex_extension_eta(spec, DomainSpec(0.25, 1.0))
+    eta = convex_extension_eta(spec, 0.25)
     assert eta.eta > 0

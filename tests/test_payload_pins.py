@@ -11,7 +11,9 @@ import json
 
 import pytest
 
-from test_cli import decks_json, hopf_spec_json, resonant_decks_json, run_cli, write
+from test_cli import (
+    decks_json, hopf_spec_json, resonant_decks_json, run_cli, toroidal_spec_json, write,
+)
 
 
 def two_deck_json():
@@ -24,6 +26,18 @@ def two_deck_json():
     return {"lambda": [[c("3/5", "4/5"), c("5/13", "12/13")],
                        [c("8/17", "15/17"), c("7/25", "24/25")]],
             "mu": [[c("1/2")], [c("1/3", "1/5")]]}
+
+
+def rank2_rational_toroidal_json():
+    """q = 2 inside n_h = 3 with periods in (1/3)Z, so the irrationality
+    scan finds the witness sigma = 3."""
+    def c(re, im="0"):
+        return {"re": re, "im": im}
+
+    return {"n": 3, "a": 0, "b": 0, "q": 2,
+            "R1": [["1/3", "2/3"]], "R2": [["2/3", "1/3"]], "R3": [[c("0", "1")]],
+            "P0": [[c("0", "1"), c("1/5")], [c("1/10"), c("0", "1")]],
+            "P1": [[c("0")], [c("0")]]}
 
 
 CONFIGS = {
@@ -61,6 +75,12 @@ CONFIGS = {
         "command": "hopf-classify",
         "inputs": {"spec": "spec.json", "bundle": "bundle.json"},
         "params": {"exp_bound": 8}},
+    "toroidal-validate-q1": {
+        "command": "toroidal-validate", "inputs": {"spec": "toroidal.json"},
+        "params": {"height_bound": 20, "epsilon": "0.25"}},
+    "toroidal-validate-q2-rational": {
+        "command": "toroidal-validate", "inputs": {"spec": "toroidal2.json"},
+        "params": {"height_bound": 20, "epsilon": "0.25"}},
 }
 
 PINS = {
@@ -74,6 +94,8 @@ PINS = {
     "linearize-full-122": "43f9938f2f3f9dc16683bfe497b6ce0348e9423f73005bce103c132f4f40f2f8",
     "linearize-full-211": "138c19a144d411e211b8ae42f738afd55b9e1886659914458112c7af16a92990",
     "linearize-vertical-112": "cc4520dbe191427decf5e85bcb1000d2fe89e68ec0e774e05d8dc7bcd83f1c22",
+    "toroidal-validate-q1": "b524dd391bc4b4bc670262b82359c7fe33bdba7efb173ce17a4a0f7af52f03e9",
+    "toroidal-validate-q2-rational": "85b656c672487c6fdaa9fd4ed3c9947fd61f907b05fd869a4aa74e37c787d85e",
 }
 
 
@@ -84,6 +106,8 @@ def test_payload_sha256_pinned(tmp_path, name):
     write(tmp_path / "decks2.json", two_deck_json())
     write(tmp_path / "spec.json", hopf_spec_json())
     write(tmp_path / "bundle.json", {"beta": {"re": "0.2", "im": "0"}})
+    write(tmp_path / "toroidal.json", toroidal_spec_json())
+    write(tmp_path / "toroidal2.json", rank2_rational_toroidal_json())
     _, report = run_cli(tmp_path, CONFIGS[name])
     text = json.dumps(report["payload"], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == PINS[name]

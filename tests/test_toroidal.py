@@ -1,8 +1,10 @@
 import cmath
+import itertools
 import json
 import math
 import random
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import pytest
 from germlin.toroidal import (
     DeckLinearData, DomainSpec, GeometryError, Kappa0Result, LatticeBasis,
     ToroidalSpec, convex_extension_eta, deck_consistency_residual,
-    deck_linear_parts, domain_membership, extension_halfwidth,
+    deck_linear_parts, domain_membership,
     inverse_shear, kappa0_estimate, kappa0_grid_check, point_from_w,
     shear_to_standard, validate_irrationality,
 )
@@ -236,55 +238,56 @@ def test_kappa0_random_slabs_grid_certified():
 # extension margin
 
 
+def rank_q_spec(q):
+    # rank q inside n_h = q + 1, with R1 = 0 and P0 = i I
+    return ToroidalSpec(n=q + 1, a=0, b=0, q=q, R1=[[0.0] * q],
+                        R2=[[math.sqrt(p) for p in (2, 3, 5, 7)[:q]]], R3=[[1j]],
+                        P0=(1j * np.eye(q)).tolist(), P1=[[0j]] * q)
+
+
 def test_extension_one_dim_unit_translate():
     eps = 0.25
-    rep = extension_halfwidth(1, eps, [[1.0]])
+    rep = convex_extension_eta(basic_spec(), eps)
     assert rep.eta >= eps           # comfortably certifiable margin
-    assert rep.eta == pytest.approx(1.0, abs=1e-6)
-
-
-def test_extension_degenerate_translate_gives_slab_itself():
-    eps = 0.4
-    rep = extension_halfwidth(1, eps, [[0.0]])
-    assert rep.eta == pytest.approx(0.0, abs=1e-7)
-    assert rep.slab_halfwidth == pytest.approx(eps, abs=1e-7)
-
-
-def test_extension_monotone_in_epsilon_degenerate():
-    widths = [extension_halfwidth(1, eps, [[0.0]]).slab_halfwidth
-              for eps in (0.05, 0.1, 0.2, 0.4)]
-    assert widths == sorted(widths)
-    assert widths[0] == pytest.approx(0.05, abs=1e-7)
+    assert rep.eta == 1
+    assert rep.slab_halfwidth == 1.25
 
 
 def test_extension_two_dim_margin():
-    rep = extension_halfwidth(2, 0.3, None)
-    assert rep.eta == pytest.approx(0.5, abs=1e-6)
+    rep = convex_extension_eta(rank2_spec(), 0.3)
+    assert rep.eta == Fraction(1, 2)
+
+
+def test_extension_rejects_nonpositive_epsilon():
+    for eps in (0, -0.1):
+        with pytest.raises(GeometryError):
+            convex_extension_eta(basic_spec(), eps)
+
+
+def _in_translate_hull(x, eps):
+    # B + 2 conv{+-e_i} with B = [-eps, 1 + eps]^q: l1 distance to B <= 2
+    return sum(max(-eps - xi, xi - 1 - eps, 0) for xi in x) <= 2
+
+
+def _translate_vertices(q, width):
+    """Vertices of the +-e_i translates of [-width, 1 + width]^q."""
+    for i in range(q):
+        for step in (-1, 1):
+            for v in itertools.product((-width, 1 + width), repeat=q):
+                yield [x + step * (k == i) for k, x in enumerate(v)]
 
 
 def test_extension_vertices_inside_hull_property():
-    # independent hull re-check of the certified margin
-    from scipy.spatial import ConvexHull
-    eps = 0.3
-    rep = convex_extension_eta(rank2_spec(), DomainSpec(epsilon=eps, rcap=1.0))
-    q = 2
-    shifts = [np.zeros(q)]
-    for i in range(q):
-        for k in (-2, -1, 1, 2):
-            shifts.append(k * np.eye(q)[i])
-    cloud = []
-    for s in shifts:
-        for mask in range(4):
-            v = [(1 + eps) if mask >> i & 1 else -eps for i in range(q)]
-            cloud.append(np.asarray(v) + s)
-    hull = ConvexHull(np.asarray(cloud))
-    w = eps + rep.eta
-    for i in range(q):
-        for k in (-1, 1):
-            for mask in range(4):
-                v = np.asarray([(1 + w) if mask >> j & 1 else -w for j in range(q)])
-                v = v + k * np.eye(q)[i]
-                assert np.max(hull.equations[:, :-1] @ v + hull.equations[:, -1]) <= 1e-8
+    # exact re-check: eta fits every vertex, and eta + 1/1000 does not
+    for q, eps in itertools.product((1, 2, 3, 4),
+                                    (Fraction(1, 20), Fraction(1, 4), Fraction(2, 5))):
+        rep = convex_extension_eta(rank_q_spec(q), eps)
+        assert rep.slab_halfwidth == eps + rep.eta
+        assert all(_in_translate_hull(v, eps)
+                   for v in _translate_vertices(q, rep.slab_halfwidth))
+        wider = rep.slab_halfwidth + Fraction(1, 1000)
+        assert not all(_in_translate_hull(v, eps)
+                       for v in _translate_vertices(q, wider))
 
 
 def test_deck_linear_data_validation():
