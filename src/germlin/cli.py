@@ -1,10 +1,11 @@
 """Batch command-line surface: one pipeline per invocation, JSON reports.
 
 Exit codes: 0 for a passing run, 1 for a certified failure (resonance
-witness, failing checklist, uncovered point, nonzero residual), 2 for
-input errors.  Only ``dioph-scan`` reads the config's ``mode`` (the
-coefficient field, ``exact`` or ``float``); the other pipelines run exact
-and reject ``float``.  Exact-mode payloads are deterministic: rerunning
+witness, failing checklist, uncovered point, nonzero residual, negative
+majorant coefficient, Laurent budget overflow), 2 for input errors.  Only
+``dioph-scan`` reads the config's ``mode`` (the coefficient field,
+``exact`` or ``float``); the other pipelines run exact and reject
+``float``.  Exact-mode payloads are deterministic: rerunning
 with the echoed config reproduces them byte for byte (timing lives outside
 the payload).
 """
@@ -24,8 +25,9 @@ from fractions import Fraction
 
 from . import __version__, hopf, linearize, toroidal
 from .divisors import IncompatibleSystem, ResonanceError, diophantine_scan
+from .linearize import MajorantFailure
 from .scalars import FIELDS, QQI
-from .series import GridSpec
+from .series import GridSpec, TruncationOverflow
 from .toroidal import DeckLinearData, ToroidalSpec
 
 PASS, FAIL, INPUT_ERROR = 0, 1, 2
@@ -359,7 +361,8 @@ def main(argv=None) -> int:
         config = load_config(args.config, {"mode": args.mode,
                                            "seed": args.seed})
         report, code = run(config)
-    except (ResonanceError, IncompatibleSystem) as exc:
+    except (ResonanceError, IncompatibleSystem, MajorantFailure,
+            TruncationOverflow) as exc:
         print(f"certified failure: {exc}", file=sys.stderr)
         return FAIL
     except (ConfigError, OSError, KeyError, ValueError) as exc:

@@ -17,12 +17,13 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .scalars import CC, QQI, as_complex, field_of
-from .divisors import signed_vectors
+from .divisors import compositions, signed_vectors
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EQ_TOL = 1e-12
 
@@ -164,6 +165,31 @@ class MembershipResult(NamedTuple):
     bound: int
 
 
+def _log_vectors(spec: HopfSpec, norms) -> list[tuple[tuple[int, ...], float]]:
+    """(v, sum v_i log|alpha_i|) for every v in Z^n with |v|_1 in norms,
+    in norm-then-lex order."""
+    logs = [math.log(abs(a)) for a in spec.alpha_complex()]
+    return [(v, sum(l * e for l, e in zip(logs, v)))
+            for norm in norms for v in sorted(signed_vectors(norm, spec.n))]
+
+
+def _first_relation(alpha, vectors, target) -> tuple[int, ...] | None:
+    """First v of ``vectors`` with prod alpha^v = target.
+
+    A v whose log-modulus lies far from log|target| is skipped before any
+    product is formed: an exact or 1e-12-relative equality puts the two
+    within about 1e-12 (1 + |log|), far inside the 1e-9 slack."""
+    target_c = as_complex(target)
+    log_target = math.log(abs(target_c)) if target_c else None
+    for v, approx in vectors:
+        if (log_target is not None
+                and abs(approx - log_target) > 64 * EQ_TOL * (1 + abs(approx)) + 1e-9):
+            continue
+        if _approx_eq(_power_product(alpha, v), target):
+            return v
+    return None
+
+
 def delta_membership(beta, spec: HopfSpec, m_power: int = 1,
                      exp_bound: int = 12) -> MembershipResult:
     """Decide beta^{m_power} = prod alpha_i^{v_i} for some v in Z^n with
@@ -172,19 +198,8 @@ def delta_membership(beta, spec: HopfSpec, m_power: int = 1,
     if exp_bound < 1 or m_power < 1:
         raise HopfError("bounds must be >= 1")
     target = _power_product([beta], [m_power])
-    alpha = spec.alpha
-    target_c = as_complex(target)
-    log_mods = [math.log(abs(as_complex(a))) for a in alpha]
-    log_target = math.log(abs(target_c)) if target_c else None
-    for norm in range(0, exp_bound + 1):
-        for v in sorted(signed_vectors(norm, spec.n)):
-            if log_target is not None:
-                approx = sum(l * e for l, e in zip(log_mods, v))
-                if abs(approx - log_target) > 64 * EQ_TOL * (1 + abs(approx)) + 1e-9:
-                    continue
-            if _approx_eq(_power_product(alpha, v), target):
-                return MembershipResult(True, v, exp_bound)
-    return MembershipResult(False, None, exp_bound)
+    v = _first_relation(spec.alpha, _log_vectors(spec, range(exp_bound + 1)), target)
+    return MembershipResult(v is not None, v, exp_bound)
 
 
 def delta_membership_bruteforce(beta, spec: HopfSpec, m_power: int = 1,
@@ -226,18 +241,13 @@ def classify_hopf(spec: HopfSpec, exp_bound: int = 8) -> ClassifyResult:
     if any(m2 <= m1 + EQ_TOL for m1, m2 in zip(mods, mods[1:])):
         return ClassifyResult("diagonal", None, exp_bound,
                               "moduli not strictly ordered")
-    one = (field_of(alpha) or CC).one
-    for total in range(1, 2 * exp_bound + 1):
-        for s in sorted(signed_vectors(total, spec.n)):
-            pos = sum(e for e in s if e > 0)
-            neg = sum(-e for e in s if e < 0)
-            if pos > exp_bound or neg > exp_bound:
-                continue
-            if _approx_eq(_power_product(alpha, s), one):
-                witness = (tuple(max(e, 0) for e in s),
-                           tuple(max(-e, 0) for e in s))
-                return ClassifyResult("diagonal", witness, exp_bound,
-                                      "monomial relation found")
+    vectors = [(s, approx) for s, approx in _log_vectors(spec, range(1, 2 * exp_bound + 1))
+               if sum(e for e in s if e > 0) <= exp_bound
+               and sum(-e for e in s if e < 0) <= exp_bound]
+    s = _first_relation(alpha, vectors, (field_of(alpha) or CC).one)
+    if s is not None:
+        witness = (tuple(max(e, 0) for e in s), tuple(max(-e, 0) for e in s))
+        return ClassifyResult("diagonal", witness, exp_bound, "monomial relation found")
     return ClassifyResult("generic", None, exp_bound, "no relation up to bound")
 
 
@@ -311,16 +321,14 @@ def vanishing_predicate(bundle: FlatBundle, spec: HopfSpec, variant: str,
         for total in range(0, exp_bound + 1):
             if witness:
                 break
-            for v in itertools.product(range(total + 1), repeat=spec.n):
-                if sum(v) != total:
-                    continue
+            for v in sorted(compositions(total, spec.n)):
                 cone_a = all(x >= 1 for x in v)
                 cone_b = all(x >= 0 for x in v) and any(x == 0 for x in v)
                 if not (cone_a or cone_b):
                     continue
                 if (_approx_eq(_power_product(spec.alpha, v), c)
                         and _approx_eq(_power_product([a_root], [sum(v)]), d)):
-                    witness = tuple(v)
+                    witness = v
                     break
         holds = witness is None
         return VanishingReport(variant, holds, holds or None, holds or None,
@@ -364,11 +372,12 @@ def hopf_precheck(bundle: FlatBundle, spec: HopfSpec, n_v: int = 6,
     if cls.kind != "generic":
         raise HopfError(f"precheck needs a generic spec, got {cls.kind}: {cls.reason}")
     alpha = spec.alpha
+    vectors = _log_vectors(spec, range(exp_bound + 1))
     items = []
 
     def probe(name, target, index, power):
-        res = delta_membership(target, spec, 1, exp_bound)
-        items.append(CheckItem(name, index, power, not res.member, res.witness))
+        v = _first_relation(alpha, vectors, target)
+        items.append(CheckItem(name, index, power, v is None, v))
 
     beta = bundle.beta
     # each product is exact when both of its factors are
@@ -398,11 +407,9 @@ def h0_monomial_oracle(bundle: FlatBundle, spec: HopfSpec,
         raise HopfError("monomial sections need a diagonal spec")
     witnesses = []
     for total in range(0, exp_bound + 1):
-        for v in itertools.product(range(total + 1), repeat=spec.n):
-            if sum(v) != total:
-                continue
+        for v in sorted(compositions(total, spec.n)):
             if _approx_eq(_power_product(spec.alpha, v), bundle.beta):
-                witnesses.append(tuple(v))
+                witnesses.append(v)
     return H0Report(len(witnesses), witnesses, exp_bound)
 
 
@@ -619,6 +626,7 @@ def _path(parent, node):
 def reachable_with_contraction(graph: TransitionGraph, tol: float = 1e-12) -> dict:
     """Independent verdict per start node via transitive closure over the
     |l| <= 1 subgraph (oracle for the chain search)."""
+    import numpy as np
     nodes = list(graph.nodes)
     idx = {n: i for i, n in enumerate(nodes)}
     size = len(nodes)
@@ -724,6 +732,7 @@ def shilov_constant(piece: ShilovPiece, fields) -> float:
 def jordan_field_matrix(alpha: complex, z: Sequence[complex]) -> np.ndarray:
     """Coefficient matrix g with Z_i = sum_j g_ij d/dz_j for the Jordan
     family (dense-inversion oracle helper)."""
+    import numpy as np
     n = len(z)
     g = np.zeros((n, n), dtype=complex)
     for i in range(n):
@@ -737,6 +746,7 @@ def jordan_deform(linear: np.ndarray, t: complex) -> np.ndarray:
     """Conjugate by diag(t^{n-1}, ..., t, 1): entry (i, j) scales by
     t^{j-i}.  At t = 0 the over-diagonal part dies and the diagonal
     remains; lower-triangular entries make that limit undefined."""
+    import numpy as np
     g = np.asarray(linear, dtype=complex)
     n = g.shape[0]
     if g.shape != (n, n):

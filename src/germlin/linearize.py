@@ -30,7 +30,11 @@ Vec = tuple[FormalSeries, ...]
 
 
 class LinearizeError(ValueError):
-    pass
+    """Input error: a parameter, profile or mode the solvers cannot use."""
+
+
+class MajorantFailure(LinearizeError):
+    """Certified failure: the majorant system has a negative coefficient."""
 
 
 # ----------------------------------------------------------------------
@@ -613,7 +617,7 @@ def majorant_functional_solve(mode: str, constants: dict, m_max: int) -> Majoran
             rhs_b = _poly_add(g_b, [c_over * x for x in _poly_mul(coupling, brk_b, cap)], cap)
             a[m], b[m] = rhs_a[m], rhs_b[m]
             if a[m] < 0 or b[m] < 0:
-                raise LinearizeError(f"negative majorant coefficient at degree {m}")
+                raise MajorantFailure(f"negative majorant coefficient at degree {m}")
         b_seq = {}
         for i in range(1, q + 1):
             b_seq[f"+e{i}"] = list(b)
@@ -629,7 +633,7 @@ def majorant_functional_solve(mode: str, constants: dict, m_max: int) -> Majoran
             rhs = _poly_mul(g, h, cap)
             a[m] = rhs[m]
             if a[m] < 0:
-                raise LinearizeError(f"negative majorant coefficient at degree {m}")
+                raise MajorantFailure(f"negative majorant coefficient at degree {m}")
         b_seq = {}
     return MajorantCert(mode, eta.values, eta.log_values, eta.d_growth,
                         a, b_seq, dict(constants))

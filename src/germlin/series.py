@@ -14,19 +14,20 @@ from __future__ import annotations
 
 import math
 from operator import add as _add
-from typing import Mapping, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .scalars import FIELDS, QQI, as_complex
 
+if TYPE_CHECKING:
+    import numpy as np
 
 class SeriesError(ValueError):
-    pass
+    """Input error: mismatched dimensions, fields or truncations."""
 
 
 class TruncationOverflow(SeriesError):
-    """A nonzero coefficient landed beyond the Laurent budget."""
+    """Certified failure: a nonzero coefficient landed beyond the Laurent
+    budget."""
 
 
 class ExponentKey(NamedTuple):
@@ -463,6 +464,7 @@ def substitute_shift(f: FormalSeries, phi_h: Sequence[FormalSeries] | None,
 def _grid_points(f_n_h: int, f_n_v: int, grid: GridSpec) -> list[np.ndarray]:
     if len(grid.h_radii) != f_n_h:
         raise SeriesError("grid dimension mismatch")
+    import numpy as np
     thetas = np.exp(2j * np.pi * np.arange(grid.angles) / grid.angles)
     axes = []
     for row in grid.h_radii:
@@ -476,6 +478,7 @@ def _grid_points(f_n_h: int, f_n_v: int, grid: GridSpec) -> list[np.ndarray]:
 
 
 def _evaluate(f: FormalSeries, coords: list[np.ndarray]) -> np.ndarray:
+    import numpy as np
     if not coords:
         c0 = f.coeff((0,) * f.n_h, (0,) * f.n_v)
         return np.array([as_complex(c0)])
@@ -505,6 +508,7 @@ def grid_sup_norm(f: FormalSeries, grid: GridSpec) -> float:
     """Max of |f| over the sampled torus products (a lower bound of the sup)."""
     if f.is_zero():
         return 0.0
+    import numpy as np
     coords = _grid_points(f.n_h, f.n_v, grid)
     return float(np.max(np.abs(_evaluate(f, coords))))
 
@@ -526,6 +530,7 @@ def cauchy_bound_check(f: FormalSeries, grid: GridSpec,
     """
     if f.is_zero():
         return CauchyReport(True, 0.0, {}, slack)
+    import numpy as np
     sup_f = grid_sup_norm(f, grid)
     h_only_coords = _grid_points(f.n_h, 0, GridSpec(grid.h_radii, grid.v_radius,
                                                     grid.angles))

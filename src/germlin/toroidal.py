@@ -18,11 +18,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .scalars import CC, as_complex, field_of
+
+if TYPE_CHECKING:
+    import numpy as np
 
 LINALG_TOL = 1e-9
 
@@ -32,6 +33,7 @@ class GeometryError(ValueError):
 
 
 def _mat(rows, shape, dtype=float) -> np.ndarray:
+    import numpy as np
     arr = np.asarray(rows, dtype=dtype)
     if arr.size == 0:
         arr = arr.reshape(shape)
@@ -80,6 +82,7 @@ class ToroidalSpec:
 
     def period_matrix(self) -> np.ndarray:
         """Columns gamma_1..gamma_{2 n_h} in toroidal coordinates."""
+        import numpy as np
         n_r, q = self.n_r, self.q
         top = np.hstack([np.eye(n_r), self.R1, self.R2, self.R3])
         bot = np.hstack([np.zeros((q, n_r)), np.eye(q),
@@ -87,6 +90,7 @@ class ToroidalSpec:
         return np.vstack([top, bot]).astype(complex)
 
     def real_basis_ok(self, tol: float = LINALG_TOL) -> bool:
+        import numpy as np
         gamma = self.period_matrix()
         real = np.vstack([gamma.real, gamma.imag])
         peak = np.max(np.abs(real))
@@ -161,6 +165,7 @@ def shear_to_standard(spec: ToroidalSpec) -> LatticeBasis:
     [0, I, P0, P1]]`` and its middle block columns are the deck
     translations gamma'.
     """
+    import numpy as np
     n_r, q = spec.n_r, spec.q
     gamma = spec.period_matrix()
     shear = np.block([[np.eye(n_r), -spec.R1],
@@ -171,6 +176,7 @@ def shear_to_standard(spec: ToroidalSpec) -> LatticeBasis:
 
 
 def inverse_shear(spec: ToroidalSpec, basis: LatticeBasis) -> np.ndarray:
+    import numpy as np
     n_r, q = spec.n_r, spec.q
     unshear = np.block([[np.eye(n_r), spec.R1],
                         [np.zeros((q, n_r)), np.eye(q)]]).astype(complex)
@@ -201,6 +207,7 @@ def validate_irrationality(spec: ToroidalSpec, height_bound: int,
     n_r = spec.n_r
     if n_r == 0:
         return IrrationalityResult(True, None, height_bound)
+    import numpy as np
     R = np.hstack([spec.R1, spec.R2])
     candidates = sorted(
         (s for s in itertools.product(range(-height_bound, height_bound + 1),
@@ -312,6 +319,7 @@ def deck_consistency_residual(decks: DeckLinearData, basis: LatticeBasis) -> flo
 
 
 def real_basis_matrix(gamma_std: np.ndarray) -> np.ndarray:
+    import numpy as np
     return np.vstack([gamma_std.real, gamma_std.imag])
 
 
@@ -323,6 +331,7 @@ def domain_membership(point: Sequence[complex], spec: ToroidalSpec,
     first n_h coordinates are angular and only enter mod 1, the next q must
     lie in the slab (-eps, 1+eps), the rest in (-R, R).
     """
+    import numpy as np
     pt = [complex(z) for z in point]
     if len(pt) != spec.n_h:
         raise GeometryError("point arity mismatch")
@@ -346,6 +355,7 @@ def domain_membership(point: Sequence[complex], spec: ToroidalSpec,
 
 def point_from_w(w: Sequence[float], spec: ToroidalSpec) -> list[complex]:
     """Exponentiated standard coordinates of a real coordinate vector."""
+    import numpy as np
     basis = shear_to_standard(spec)
     frak = basis.gamma_std @ np.asarray(w, dtype=float)
     return [cmath.exp(2j * cmath.pi * z) for z in frak]
@@ -371,6 +381,7 @@ def kappa0_estimate(slab_im: Sequence[Sequence[float]], epsilon: float,
     ``(Q' - Q) . P <= -kappa0 (eps - eps') |P|_1`` with
     ``kappa0 = sum_j |Im gamma_j . P| / |P|_1`` over slab directions.
     """
+    import numpy as np
     if epsilon < epsilon_prime or epsilon_prime < 0:
         raise GeometryError("need epsilon > epsilon' >= 0")
     p = np.asarray(p_vec, dtype=float)
@@ -401,6 +412,7 @@ def kappa0_grid_check(slab_im, epsilon, epsilon_prime, p_vec, result: Kappa0Resu
                       grid_points: int = 1000, rcap: float = 0.0, r_im=(),
                       seed: int = 0) -> bool:
     """Verify the defining inequality against sampled Q' in the eps'-slab."""
+    import numpy as np
     rng = np.random.default_rng(seed)
     slab = np.asarray(slab_im, dtype=float)
     p = np.asarray(p_vec, dtype=float)

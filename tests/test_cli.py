@@ -307,16 +307,47 @@ def test_unknown_lin_mode_is_input_error(tmp_path):
 def test_certified_solver_failures_exit_1(tmp_path, monkeypatch):
     from germlin import cli
     from germlin.divisors import IncompatibleSystem, ResonanceError
-    from germlin.linearize import LinearizeError
+    from germlin.linearize import LinearizeError, MajorantFailure
+    from germlin.series import SeriesError, TruncationOverflow
 
     write(tmp_path / "decks.json", decks_json())
     cfg = write(tmp_path / "cfg.json", {
         "command": "dioph-scan", "inputs": {"decks": "decks.json"}, "params": {"N": 4}})
+    # a negative majorant coefficient and a Laurent budget overflow exited 2
     for exc, code in ((ResonanceError, 1), (IncompatibleSystem, 1),
-                      (LinearizeError, 2)):
+                      (MajorantFailure, 1), (TruncationOverflow, 1),
+                      (LinearizeError, 2), (SeriesError, 2)):
         def raiser(config, exc=exc):
             raise exc("planted")
 
         monkeypatch.setitem(cli.PIPELINES, "dioph-scan",
                             (raiser, cli.PIPELINES["dioph-scan"][1]))
         assert main(["--config", cfg]) == code
+
+
+def test_negative_majorant_coefficient_exits_1(tmp_path, monkeypatch):
+    # the certify pipeline reported it as an input error (exit 2)
+    from germlin import linearize
+
+    g_of = linearize._g_of
+    monkeypatch.setattr(linearize, "_g_of", lambda *args: [-x for x in g_of(*args)])
+    cfg = write(tmp_path / "cfg.json", {
+        "command": "certify", "seed": 5, "params": {"n_v": 4, "scale": "1/64"}})
+    assert main(["--config", cfg]) == 1
+
+
+def test_laurent_budget_overflow_exits_1(tmp_path, monkeypatch):
+    # the overflow exited 2, as an input error
+    from germlin import linearize
+    from germlin.scalars import QC
+    from germlin.series import FormalSeries, substitute_shift
+
+    def overflowing(*args):
+        # (h + h^2 v^2)^{-1} reaches |P| = 3 at v^8, past a budget of 1
+        f = FormalSeries.monomial(1, 1, (-1,), (0,), QC(1), 4, 8)
+        phi = FormalSeries.monomial(1, 1, (2,), (2,), QC(1), 4, 8)
+        return substitute_shift(f, [phi], None, 8, n_h=1)
+
+    monkeypatch.setattr(linearize, "full_linearize", overflowing)
+    cfg = write(tmp_path / "cfg.json", {"command": "linearize", "params": {"n_v": 3}})
+    assert main(["--config", cfg]) == 1

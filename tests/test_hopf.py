@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from germlin.divisors import signed_vectors
 from germlin.hopf import (
     ClassifyResult, FlatBundle, HopfError, HopfSpec, NestedCoveringSpec,
     ShilovPiece, TransitionGraph, build_covering, classify_hopf,
@@ -15,9 +16,9 @@ from germlin.hopf import (
     h0_monomial_oracle, hopf_precheck, hopf_transition_graph,
     jordan_deform, jordan_field_matrix, orbit_hits,
     reachable_with_contraction, shilov_constant, transition_chain_search,
-    vanishing_predicate,
+    vanishing_predicate, _approx_eq, _power_product,
 )
-from germlin.scalars import QC
+from germlin.scalars import QC, as_complex
 
 
 def qc(num, den=1, inum=0, iden=1):
@@ -51,6 +52,60 @@ def test_classify_generic_up_to_bound():
     res = classify_hopf(spec, 12)
     assert res.kind == "generic"
     assert res.witness is None
+
+
+def _classify_plain(spec, exp_bound):
+    """classify_hopf's relation search as a plain enumeration: the exact
+    product of every signed vector, no log-modulus prefilter."""
+    one = QC(1) if all(isinstance(a, QC) for a in spec.alpha) else 1 + 0j
+    for total in range(1, 2 * exp_bound + 1):
+        for s in sorted(signed_vectors(total, spec.n)):
+            pos = sum(e for e in s if e > 0)
+            neg = sum(-e for e in s if e < 0)
+            if pos > exp_bound or neg > exp_bound:
+                continue
+            if _approx_eq(_power_product(spec.alpha, s), one):
+                return "diagonal", (tuple(max(e, 0) for e in s),
+                                    tuple(max(-e, 0) for e in s))
+    return "generic", None
+
+
+@st.composite
+def relation_specs(draw):
+    """A random diagonal spec, exact or float, and an exponent bound: free
+    moduli, a planted alpha_a = alpha_b^k within the bound, or two moduli
+    within 1e-6 of each other."""
+    n = draw(st.sampled_from([2, 3]))
+    exact = draw(st.booleans())
+    case = draw(st.sampled_from(["planted", "close", "free"]))
+
+    def value():
+        re = Fraction(draw(st.integers(-90, 90)), 100)
+        im = Fraction(draw(st.integers(-90, 90)), 100)
+        assume(0 < re * re + im * im < 1)
+        return QC(re, im) if exact else complex(re, im)
+
+    alpha = [value() for _ in range(n)]
+    a, b = draw(st.sampled_from([(i, j) for i in range(n) for j in range(n) if i != j]))
+    low = 1
+    if case == "planted":
+        low = draw(st.integers(2, 3))
+        alpha[a] = alpha[b] ** low
+    elif case == "close":
+        step = Fraction(draw(st.integers(1, 1000)), 10 ** 9)
+        alpha[a] = alpha[b] * (QC(1 - step) if exact else float(1 - step))
+    alpha.sort(key=lambda x: abs(as_complex(x)))
+    mods = [abs(as_complex(x)) for x in alpha]
+    assume(all(m2 > m1 + 1e-11 for m1, m2 in zip(mods, mods[1:])))
+    return HopfSpec(tuple(alpha)), draw(st.integers(low, 5))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(relation_specs())
+def test_classify_prefilter_equals_plain_enumeration(case):
+    spec, exp_bound = case
+    res = classify_hopf(spec, exp_bound)
+    assert (res.kind, res.witness) == _classify_plain(spec, exp_bound)
 
 
 def test_exact_spec_and_bundle_json_round_trip():

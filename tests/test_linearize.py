@@ -5,11 +5,12 @@ import pytest
 
 from germlin.divisors import IncompatibleSystem, diophantine_scan
 from germlin.linearize import (
-    DeckPerturbation, LinearizeError, check_commutation, certify_domination,
-    compose_decks, conjugate_linear_decks, conjugacy_residual,
-    default_linear_decks, eta_sequence, fit_majorant_constants, full_linearize,
-    generate_commuting_decks, grid_ladder, invert_near_identity,
-    majorant_functional_solve, vec_sub, vec_substitute, vertical_linearize,
+    DeckPerturbation, LinearizeError, MajorantFailure, check_commutation,
+    certify_domination, compose_decks, conjugate_linear_decks,
+    conjugacy_residual, default_linear_decks, eta_sequence,
+    fit_majorant_constants, full_linearize, generate_commuting_decks,
+    grid_ladder, invert_near_identity, majorant_functional_solve, vec_sub,
+    vec_substitute, vertical_linearize,
 )
 from germlin.scalars import QC
 from germlin.series import FormalSeries, GridSpec
@@ -253,6 +254,21 @@ def test_majorant_vertical_base_coefficients():
     assert cert.b_seq["+e1"][2] == pytest.approx(0.3 ** 2)
     assert all(x >= 0 for x in cert.a_seq)
     assert all(x >= 0 for seq in cert.b_seq.values() for x in seq)
+
+
+def test_majorant_failure_is_separate_from_input_errors(monkeypatch):
+    # a negative coefficient raised the same class as a bad mode or m_max
+    import germlin.linearize as lin
+
+    for bad in (lambda: majorant_functional_solve("bogus", vertical_constants(), 6),
+                lambda: majorant_functional_solve("vertical", vertical_constants(), 1)):
+        with pytest.raises(LinearizeError) as info:
+            bad()
+        assert not isinstance(info.value, MajorantFailure)
+    g_of = lin._g_of
+    monkeypatch.setattr(lin, "_g_of", lambda *args: [-x for x in g_of(*args)])
+    with pytest.raises(MajorantFailure, match="degree 2"):
+        majorant_functional_solve("vertical", vertical_constants(), 6)
 
 
 def test_majorant_vertical_d2_base_count():
