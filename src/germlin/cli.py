@@ -2,7 +2,8 @@
 
 Exit codes: 0 for a passing run, 1 for a certified failure (resonance
 witness, failing checklist, uncovered point, nonzero residual, negative
-majorant coefficient, Laurent budget overflow), 2 for input errors.  Only
+majorant coefficient, Laurent budget overflow, a spec that is not
+generic where a check needs one), 2 for input errors.  Only
 ``dioph-scan`` reads the config's ``mode`` (the coefficient field,
 ``exact`` or ``float``); the other pipelines run exact and reject
 ``float``.  Exact-mode payloads are deterministic: rerunning
@@ -362,7 +363,7 @@ def main(argv=None) -> int:
                                            "seed": args.seed})
         report, code = run(config)
     except (ResonanceError, IncompatibleSystem, MajorantFailure,
-            TruncationOverflow) as exc:
+            TruncationOverflow, hopf.NonGenericSpec) as exc:
         print(f"certified failure: {exc}", file=sys.stderr)
         return FAIL
     except (ConfigError, OSError, KeyError, ValueError) as exc:

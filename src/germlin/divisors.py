@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .series import FormalSeries, GridSpec, grid_sup_norm
+from .series import FormalSeries
 from .toroidal import DeckLinearData
 
 TAU_LADDER = tuple(range(1, 11))
@@ -326,13 +326,19 @@ def _compatible(sys: CochainSystem, residual: float) -> bool:
     return sys.decks.field.is_zero(residual, lambda: FLOAT_COMPAT_TOL)
 
 
+def check_report(report: DiophantineReport | None, kind: str):
+    """A scan report admits a solve of this system kind when it carries no
+    resonance witness and, for a full system, comes from a full-mode scan."""
+    if report is None:
+        return
+    if report.has_resonance:
+        raise ResonanceError("scan report carries resonance witnesses")
+    if kind == "full" and report.mode != "full":
+        raise DivisorError("full systems need a full-mode scan report")
+
+
 def _check_solvable(sys: CochainSystem, report: DiophantineReport | None):
-    if report is not None:
-        if report.has_resonance:
-            raise ResonanceError("scan report carries resonance witnesses")
-        wanted = "full" if sys.kind == "full" else "vertical"
-        if wanted == "full" and report.mode != "full":
-            raise DivisorError("full systems need a full-mode scan report")
+    check_report(report, sys.kind)
     residual = compatibility_residual(sys)
     if not _compatible(sys, residual):
         raise IncompatibleSystem(f"compatibility residual {residual}")
@@ -383,44 +389,3 @@ def solve_single(i: int, f_vec: Sequence[FormalSeries], decks: DeckLinearData,
             acc[key] = coeff / val
         out.append(comp.like(acc))
     return tuple(out)
-
-
-# ----------------------------------------------------------------------
-# norm bound verification
-
-
-class BoundReport(NamedTuple):
-    passed: bool
-    c1: float
-    sup_solution: float
-    sup_data: float
-    tau: float
-    nu: float
-
-
-def bound_verify(g_vec: Sequence[FormalSeries], f_vecs: Sequence[Sequence[FormalSeries]],
-                 report: DiophantineReport, grid_before: GridSpec,
-                 grid_after: GridSpec, delta: float, rho: float,
-                 nu: float | None = None) -> BoundReport:
-    """Fit the smallest constant C1 with
-    ``sup|G| <= max_i sup|F_i| (C1/delta^{tau+nu} + C1/rho^{tau+nu})``
-    on the given sampled domains (grid_after is the shrunk one).
-
-    Report-valued; passing means a finite C1 exists, i.e. the data does not
-    vanish while the solution does not.
-    """
-    if report.tau is None:
-        raise DivisorError("cannot verify bounds without a (D, tau) fit")
-    if nu is None:
-        # the ambient dimension plus codomain dimension plus one
-        nu = g_vec[0].n_h + g_vec[0].n_v + 1
-    sup_g = max((grid_sup_norm(c, grid_after) for c in g_vec), default=0.0)
-    sup_f = max((grid_sup_norm(c, grid_before)
-                 for vec in f_vecs for c in vec), default=0.0)
-    expo = report.tau + nu
-    geom = delta ** -expo + rho ** -expo
-    if sup_g == 0.0:
-        return BoundReport(True, 0.0, 0.0, sup_f, report.tau, nu)
-    if sup_f == 0.0:
-        return BoundReport(False, math.inf, sup_g, 0.0, report.tau, nu)
-    return BoundReport(True, sup_g / (sup_f * geom), sup_g, sup_f, report.tau, nu)

@@ -32,6 +32,12 @@ class HopfError(ValueError):
     pass
 
 
+class NonGenericSpec(HopfError):
+    """Certified failure: a check that needs a generic spec met one that
+    ``classify_hopf`` finds diagonal (a monomial relation, or moduli not
+    strictly ordered)."""
+
+
 def _approx_eq(x, y, tol: float = EQ_TOL) -> bool:
     """Equality after normalizing by the larger modulus; exact when both
     operands are exact."""
@@ -251,6 +257,13 @@ def classify_hopf(spec: HopfSpec, exp_bound: int = 8) -> ClassifyResult:
     return ClassifyResult("generic", None, exp_bound, "no relation up to bound")
 
 
+def _require_generic(spec: HopfSpec, exp_bound: int, check: str):
+    cls = classify_hopf(spec, exp_bound)
+    if cls.kind != "generic":
+        error = NonGenericSpec if cls.kind == "diagonal" else HopfError
+        raise error(f"{check} needs a generic spec, got {cls.kind}: {cls.reason}")
+
+
 # ----------------------------------------------------------------------
 # vanishing criteria
 
@@ -271,12 +284,12 @@ def vanishing_predicate(bundle: FlatBundle, spec: HopfSpec, variant: str,
 
     When the criterion holds up to the bound, both H^0 and H^1 of the flat
     bundle vanish (the supported variants all assert the pair); when a
-    witness turns up the predicate makes no vanishing claim.
+    witness turns up the predicate makes no vanishing claim.  zhou2 searches
+    every exponent vector of N^n up to the bound: the cones of the paper's
+    statement are not recorded here, so none is imposed.
     """
     if variant == "mall_generic":
-        cls = classify_hopf(spec, exp_bound)
-        if cls.kind != "generic":
-            raise HopfError(f"variant mall_generic needs a generic spec, got {cls.kind}")
+        _require_generic(spec, exp_bound, "variant mall_generic")
         res = delta_membership(bundle.beta, spec, 1, exp_bound)
         holds = not res.member
         return VanishingReport(variant, holds, holds or None, holds or None,
@@ -322,10 +335,6 @@ def vanishing_predicate(bundle: FlatBundle, spec: HopfSpec, variant: str,
             if witness:
                 break
             for v in sorted(compositions(total, spec.n)):
-                cone_a = all(x >= 1 for x in v)
-                cone_b = all(x >= 0 for x in v) and any(x == 0 for x in v)
-                if not (cone_a or cone_b):
-                    continue
                 if (_approx_eq(_power_product(spec.alpha, v), c)
                         and _approx_eq(_power_product([a_root], [sum(v)]), d)):
                     witness = v
@@ -368,9 +377,7 @@ def hopf_precheck(bundle: FlatBundle, spec: HopfSpec, n_v: int = 6,
     All conditions passing certifies, up to the scanned bound, both the
     tangent splitting and the vanishing of the obstruction cohomology at
     every twist."""
-    cls = classify_hopf(spec, min(exp_bound, 8))
-    if cls.kind != "generic":
-        raise HopfError(f"precheck needs a generic spec, got {cls.kind}: {cls.reason}")
+    _require_generic(spec, min(exp_bound, 8), "precheck")
     alpha = spec.alpha
     vectors = _log_vectors(spec, range(exp_bound + 1))
     items = []

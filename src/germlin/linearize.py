@@ -4,10 +4,21 @@ certificates.
 
 The deck transformations are ``tau_i = tauhat_i + tau*_i`` with diagonal
 linear part and perturbation of v-order >= 2.  Conjugating by
-``Phi = Id + phi`` reduces, degree by degree in v, to the cohomological
-equations of :mod:`germlin.divisors`: at degree m the right-hand side is
-assembled from the parts of phi already found at degrees < m, so the
-whole iteration is a sequence of exact divisions in exact mode.
+``Phi = Id + phi`` is the single equation per deck
+
+    L_i(phi) = rhs_i(phi),
+
+with ``L_i`` the operator of :mod:`germlin.divisors` and ``rhs_i(phi) =
+tau*_i o (Id + phi)`` in full mode; vertical mode, phi = (0, phi_v), gives
+the foliation with the embedded manifold as a leaf, and its right-hand side
+adds the horizontal shift of phi_v o tauhat_i.  Both modes solve it degree
+by degree: at degree m the right-hand side is assembled from the parts of
+phi already found at degrees < m, so the whole iteration is a sequence of
+exact divisions in exact mode.  The conjugacy residual is the defect
+L_i(phi) - rhs_i(phi) of that equation, recomposed from the final phi at
+the full cap.  It checks the solve, not the formula for rhs_i, which it
+shares with the solver; a check independent of that formula is ROADMAP
+item 12's.
 """
 
 from __future__ import annotations
@@ -21,8 +32,8 @@ from typing import NamedTuple, Sequence
 from .scalars import QC, QQI, as_complex
 from .series import FormalSeries, GridSpec, grid_sup_norm, series_to_dict, substitute_shift
 from .divisors import (
-    CochainSystem, DiophantineReport, DivisorError, ResonanceError,
-    solve_family,
+    CochainSystem, DiophantineReport, apply_operator, check_report, solve_family,
+    system_width,
 )
 from .toroidal import DeckLinearData
 
@@ -318,123 +329,86 @@ class LinearizationResult:
                 "phi_v": [series_to_dict(s) for s in self.phi_v]}
 
 
-def _check_report(pert: DeckPerturbation, report: DiophantineReport | None,
-                  wanted_mode: str):
-    if report is None:
-        return
-    if report.has_resonance:
-        raise ResonanceError("scan report carries resonance witnesses")
-    if wanted_mode == "full" and report.mode != "full":
-        raise DivisorError("full linearization needs a full-mode scan")
+def _rhs(pert: DeckPerturbation, phi: Vec, i: int, kind: str, direction: str,
+         cap: int) -> Vec:
+    """rhs_i(phi) of L_i(phi) = rhs_i(phi), composed at v-degree ``cap``.
 
-
-def _vertical_rhs(pert: DeckPerturbation, phi_v: Vec, i: int, direction: str,
-                  n_v: int) -> Vec:
-    """(I) - (II) of the vertical conjugacy equation at the current phi,
-    truncated at v-degree ``n_v``."""
+    Full mode: tau*_i o (Id + phi).  Vertical mode, where phi holds phi_v
+    only: the vertical part of tau*_i o (Id + (0, phi_v)) minus the move of
+    phi_v o tauhat_i under the horizontal shift
+    tauhat_i^{-1} tau*_i^h o (Id + (0, phi_v)).
+    """
     n_h = pert.n_h_budget
     tau_h, tau_v = pert.parts(i, direction)
+    if kind == "full":
+        split = pert.decks.n_h
+        return vec_substitute(tau_h + tau_v, phi[:split], phi[split:], cap, n_h)
     lam_f, mu_f = pert.decks.linear_factors(i, direction)
-    term_i = vec_substitute(tau_v, None, phi_v, n_v, n_h)
-    shift = vec_substitute(tau_h, None, phi_v, n_v, n_h)
-    psi = vec_compose_linear(phi_v, lam_f, mu_f)
+    term_i = vec_substitute(tau_v, None, phi, cap, n_h)
+    shift = vec_substitute(tau_h, None, phi, cap, n_h)
+    psi = vec_compose_linear(phi, lam_f, mu_f)
     shift_scaled = vec_scale_each(shift, pert.decks.field.inv(lam_f))
-    term_ii = vec_sub(vec_substitute(psi, shift_scaled, None, n_v, n_h), psi)
+    term_ii = vec_sub(vec_substitute(psi, shift_scaled, None, cap, n_h), psi)
     return vec_sub(term_i, term_ii)
+
+
+def _linearize(pert: DeckPerturbation, n_v: int, kind: str,
+               report: DiophantineReport | None,
+               direction: str) -> LinearizationResult:
+    """Solve L_i(phi) = rhs_i(phi) for every deck i, degree by degree: the
+    degree-m part of the right-hand side is composed at cap m only, from
+    the parts of phi found below m.
+
+    At each degree the right-hand side family must satisfy the pairwise
+    compatibility identity; failure signals non-commuting input decks.
+    """
+    check_report(report, kind)
+    decks = pert.decks
+    n_v = min(n_v, pert.n_v)
+    phi = vec_zero(decks.n_h, decks.d, system_width(decks, kind),
+                   pert.n_h_budget, n_v, decks.field)
+    for m in range(2, n_v + 1):
+        rhs = tuple(vec_homog(_rhs(pert, phi, i, kind, direction, m), m, n_v)
+                    for i in range(decks.q))
+        phi = vec_add(phi, solve_family(CochainSystem(decks, rhs, kind, direction),
+                                        report))
+    split = decks.n_h if kind == "full" else 0
+    phi_h, phi_v = phi[:split], phi[split:]
+    residuals = conjugacy_residual(phi_v, pert, n_v, kind, phi_h, direction)
+    return LinearizationResult(kind, n_v, phi_h, phi_v, residuals, direction)
 
 
 def vertical_linearize(pert: DeckPerturbation, n_v: int,
                        report: DiophantineReport | None = None,
                        direction: str = "forward") -> LinearizationResult:
-    """Solve for phi = (0, phi_v) conjugating the decks to maps with linear
-    vertical part, degree by degree; the right-hand side at degree m is
-    composed at cap m only.
-
-    At each degree the right-hand side family must satisfy the pairwise
-    compatibility identity; failure signals non-commuting input decks.
-    """
-    _check_report(pert, report, "vertical")
-    decks = pert.decks
-    n_v = min(n_v, pert.n_v)
-    phi_v = vec_zero(decks.n_h, decks.d, decks.d, pert.n_h_budget, n_v, decks.field)
-    for m in range(2, n_v + 1):
-        rhs = tuple(vec_homog(_vertical_rhs(pert, phi_v, i, direction, m), m, n_v)
-                    for i in range(decks.q))
-        sys = CochainSystem(decks, rhs, "vertical", direction)
-        step = solve_family(sys, report)
-        phi_v = vec_add(phi_v, step)
-    residuals = conjugacy_residual(phi_v, pert, n_v, "vertical",
-                                   direction=direction)
-    return LinearizationResult("vertical", n_v, (), phi_v, residuals, direction)
+    """phi = (0, phi_v) conjugating the decks to maps with linear vertical
+    part."""
+    return _linearize(pert, n_v, "vertical", report, direction)
 
 
 def full_linearize(pert: DeckPerturbation, n_v: int,
                    report: DiophantineReport | None = None,
                    direction: str = "forward") -> LinearizationResult:
-    """Solve for phi = (phi_h, phi_v) conjugating the decks to their linear
-    parts, degree by degree; the right-hand side at degree m is composed at
-    cap m only."""
-    _check_report(pert, report, "full")
-    decks = pert.decks
-    n_v = min(n_v, pert.n_v)
-    width = decks.n_h + decks.d
-    phi = vec_zero(decks.n_h, decks.d, width, pert.n_h_budget, n_v, decks.field)
-    for m in range(2, n_v + 1):
-        rhs = []
-        for i in range(decks.q):
-            tau_h, tau_v = pert.parts(i, direction)
-            composed = vec_substitute(tau_h + tau_v, phi[:decks.n_h],
-                                      phi[decks.n_h:], m, pert.n_h_budget)
-            rhs.append(vec_homog(composed, m, n_v))
-        sys = CochainSystem(decks, tuple(rhs), "full", direction)
-        step = solve_family(sys, report)
-        phi = vec_add(phi, step)
-    phi_h, phi_v = phi[:decks.n_h], phi[decks.n_h:]
-    residuals = conjugacy_residual(phi_v, pert, n_v, "full", phi_h=phi_h,
-                                   direction=direction)
-    return LinearizationResult("full", n_v, phi_h, phi_v, residuals, direction)
+    """phi = (phi_h, phi_v) conjugating the decks to their linear parts."""
+    return _linearize(pert, n_v, "full", report, direction)
 
 
 def conjugacy_residual(phi_v: Vec, pert: DeckPerturbation, n_v: int,
                        mode: str, phi_h: Vec = (),
                        direction: str = "forward") -> list[float]:
-    """Recompute the conjugacy defect per degree via substitution only.
-
-    Full mode checks Phi o tauhat_i - tau_i o Phi componentwise; vertical
-    mode checks the vertical component against the target whose horizontal
-    part is the deck's own composed through Phi.
-    """
-    decks = pert.decks
-    n_h_budget = pert.n_h_budget
+    """Per degree, the max coefficient modulus of L_i(phi) - rhs_i(phi) over
+    the decks, with the right-hand side recomposed from the final phi at cap
+    ``n_v`` (vertical mode reads phi_v only)."""
+    if mode not in ("full", "vertical"):
+        raise LinearizeError(f"unknown mode {mode!r}")
+    phi = (tuple(phi_h) if mode == "full" else ()) + tuple(phi_v)
     per_degree = [0.0] * (n_v + 1)
-
-    def absorb(vec: Vec):
-        for comp in vec:
+    for i in range(pert.decks.q):
+        lhs = apply_operator(pert.decks, phi, i, mode, direction)
+        for comp in vec_sub(lhs, _rhs(pert, phi, i, mode, direction, n_v)):
             for key, c in comp.terms.items():
-                k = key.q_size
-                if k <= n_v:
-                    per_degree[k] = max(per_degree[k], abs(c))
-
-    for i in range(decks.q):
-        tau_h, tau_v = pert.parts(i, direction)
-        lam_f, mu_f = decks.linear_factors(i, direction)
-        if mode == "full":
-            full_phi = tuple(phi_h) + tuple(phi_v)
-            composed = vec_compose_linear(full_phi, lam_f, mu_f)
-            lin = (vec_scale_each(full_phi[:decks.n_h], lam_f)
-                   + vec_scale_each(full_phi[decks.n_h:], mu_f))
-            target = vec_substitute(tau_h + tau_v, phi_h, phi_v, n_v, n_h_budget)
-            absorb(vec_sub(vec_sub(composed, lin), target))
-        elif mode == "vertical":
-            shift = vec_substitute(tau_h, None, phi_v, n_v, n_h_budget)
-            psi = vec_compose_linear(phi_v, lam_f, mu_f)
-            shift_scaled = vec_scale_each(shift, decks.field.inv(lam_f))
-            moved = vec_substitute(psi, shift_scaled, None, n_v, n_h_budget)
-            lin = vec_scale_each(phi_v, mu_f)
-            target = vec_substitute(tau_v, None, phi_v, n_v, n_h_budget)
-            absorb(vec_sub(vec_sub(moved, lin), target))
-        else:
-            raise LinearizeError(f"unknown mode {mode!r}")
+                if key.q_size <= n_v:
+                    per_degree[key.q_size] = max(per_degree[key.q_size], abs(c))
     return per_degree
 
 
@@ -574,8 +548,9 @@ class MajorantCert:
 def majorant_functional_solve(mode: str, constants: dict, m_max: int) -> MajorantCert:
     """Solve the majorant fixed-point system degree by degree.
 
-    Vertical mode couples A with the translate family B (all B^{+-e_i}
-    satisfy the same equation, hence coincide; the family sum is 2q B).
+    Vertical mode couples A with the translate family B; every B^{+-e_i}
+    starts where A starts and follows A's recursion with the coupling
+    A + 2q B, so B = A and the coupling is A + 2q A.
     Full mode solves A = g h with g the weighted powers of (t + A) at
     radius R' and h the same at the interior-distance denominator M; its
     first nonzero coefficient appears at degree 4.  Every computed
@@ -602,39 +577,26 @@ def majorant_functional_solve(mode: str, constants: dict, m_max: int) -> Majoran
     cap = m_max
     t_poly = [0.0, 1.0] + [0.0] * (cap - 1)
 
-    a = [0.0] * (cap + 1)
     if mode == "vertical":
-        b = [0.0] * (cap + 1)
         c_over = constants["c"] / constants["c_dprime"] ** constants["nu"]
         ratio = constants["c_prime"] / constants["c_dprime"]
-        for m in range(2, cap + 1):
-            g_a = _g_of(_poly_add(t_poly, a, cap), r_prime, d, cap)
-            g_b = _g_of(_poly_add(t_poly, b, cap), r_prime, d, cap)
-            coupling = _poly_add(a, [2 * q * x for x in b], cap)
-            brk_a = _geom_inv_pow([ratio * x for x in g_a], n_h, cap)
-            brk_b = _geom_inv_pow([ratio * x for x in g_b], n_h, cap)
-            rhs_a = _poly_add(g_a, [c_over * x for x in _poly_mul(coupling, brk_a, cap)], cap)
-            rhs_b = _poly_add(g_b, [c_over * x for x in _poly_mul(coupling, brk_b, cap)], cap)
-            a[m], b[m] = rhs_a[m], rhs_b[m]
-            if a[m] < 0 or b[m] < 0:
-                raise MajorantFailure(f"negative majorant coefficient at degree {m}")
-        b_seq = {}
-        for i in range(1, q + 1):
-            b_seq[f"+e{i}"] = list(b)
-            b_seq[f"-e{i}"] = list(b)
-    else:
-        m_denom = constants["m_denom"]
-        for m in range(2, cap + 1):
-            base = _poly_add(t_poly, a, cap)
-            g = _g_of(base, r_prime, d, cap)
-            h = _sum_weighted_powers(base,
-                                     lambda k: _count_multi(k, n_h) * m_denom ** -k,
-                                     2, cap)
+    a = [0.0] * (cap + 1)
+    for m in range(2, cap + 1):
+        base = _poly_add(t_poly, a, cap)
+        g = _g_of(base, r_prime, d, cap)
+        if mode == "vertical":
+            coupling = _poly_add(a, [2 * q * x for x in a], cap)
+            brk = _geom_inv_pow([ratio * x for x in g], n_h, cap)
+            rhs = _poly_add(g, [c_over * x for x in _poly_mul(coupling, brk, cap)], cap)
+        else:
+            h = _sum_weighted_powers(
+                base, lambda k: _count_multi(k, n_h) * constants["m_denom"] ** -k, 2, cap)
             rhs = _poly_mul(g, h, cap)
-            a[m] = rhs[m]
-            if a[m] < 0:
-                raise MajorantFailure(f"negative majorant coefficient at degree {m}")
-        b_seq = {}
+        a[m] = rhs[m]
+        if a[m] < 0:
+            raise MajorantFailure(f"negative majorant coefficient at degree {m}")
+    b_seq = ({f"{sign}e{i}": list(a) for i in range(1, q + 1) for sign in "+-"}
+             if mode == "vertical" else {})
     return MajorantCert(mode, eta.values, eta.log_values, eta.d_growth,
                         a, b_seq, dict(constants))
 
@@ -703,15 +665,17 @@ def certify_domination(result: LinearizationResult, cert: MajorantCert,
 
 
 def fit_majorant_constants(pert: DeckPerturbation, report: DiophantineReport,
-                           base_grid: GridSpec, mode: str = "vertical",
-                           kappa: float = 1.0, safety: float = 2.0) -> dict:
-    """Empirical constants for the majorant system, fitted on the data.
+                           base_grid: GridSpec) -> dict:
+    """Empirical constants for the vertical majorant system, fitted on the
+    data.
 
     R' comes from the per-slice sup norms of the perturbations (the
     smallest geometric envelope over |Q|); C1 from the measured ratio of a
-    degree-2 solve to its data; the remaining constants are unit-scale
-    with the stated safety factor.  Constants are inputs to an independent
-    check, never a correctness claim.
+    degree-2 vertical solve to its data (the rule C1 = sup|G| / (sup|F|
+    (delta^{-(tau+nu)} + rho^{-(tau+nu)})) at delta = rho = 1/2); both
+    carry a safety factor 2, the margin is eta = 1/4 and the remaining
+    constants are 1.  Constants are inputs to an independent check, never
+    a correctness claim.
     """
     if report.tau is None:
         raise LinearizeError("need a resonance-free scan to fit constants")
@@ -733,26 +697,17 @@ def fit_majorant_constants(pert: DeckPerturbation, report: DiophantineReport,
                 if sup > 0:
                     r_prime = max(r_prime, sup ** (1.0 / size))
     # degree-2 family ratio for C1
-    rhs2 = tuple(vec_homog(pert.stacked(i), 2, pert.n_v) for i in range(decks.q))
-    kind = "full" if mode == "full" else "vertical"
-    if kind == "vertical":
-        rhs2 = tuple(vec[decks.n_h:] for vec in rhs2)
-    sys2 = CochainSystem(decks, rhs2, kind)
-    g2 = solve_family(sys2)
+    rhs2 = tuple(vec_homog(pert.tau_v[i], 2, pert.n_v) for i in range(decks.q))
+    g2 = solve_family(CochainSystem(decks, rhs2, "vertical"))
     sup_g = max((grid_sup_norm(c, base_grid) for c in g2), default=0.0)
     sup_f = max((grid_sup_norm(c, base_grid) for vec in rhs2 for c in vec),
                 default=0.0)
     delta = rho = 0.5
+    safety = 2.0
     expo = report.tau + nu
     geom = delta ** -expo + rho ** -expo
     c1 = safety * sup_g / (sup_f * geom) if sup_f > 0 else safety
-    c1 = max(c1, 1e-6)
-    constants = {"r_prime": max(r_prime * safety, 1e-9), "c1": c1,
-                 "eta_margin": kappa / 4.0, "tau": float(report.tau),
-                 "nu": float(nu), "n_h": decks.n_h, "d": decks.d,
-                 "q": decks.q}
-    if mode == "vertical":
-        constants.update({"c": 1.0, "c_prime": 1.0, "c_dprime": 1.0})
-    else:
-        constants.update({"m_denom": 1.0})
-    return constants
+    return {"r_prime": max(r_prime * safety, 1e-9), "c1": max(c1, 1e-6),
+            "eta_margin": 0.25, "tau": float(report.tau), "nu": float(nu),
+            "n_h": decks.n_h, "d": decks.d, "q": decks.q,
+            "c": 1.0, "c_prime": 1.0, "c_dprime": 1.0}

@@ -184,7 +184,7 @@ def test_criterion_07_majorant_certificates():
     report = diophantine_scan(gen.pert.decks, 10)
     result = vertical_linearize(gen.pert, 6, report)
     base = GridSpec([(0.9, 1.1)], 0.4, 12)
-    fitted = fit_majorant_constants(gen.pert, report, base, "vertical")
+    fitted = fit_majorant_constants(gen.pert, report, base)
     cert_fit = majorant_functional_solve("vertical", fitted, 6)
     grids = grid_ladder(base, 6, fitted["eta_margin"])
     verdict = certify_domination(result, cert_fit, grids, gen.pert.decks)

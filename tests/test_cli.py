@@ -151,6 +151,37 @@ def test_hopf_precheck_failure_witness(tmp_path):
     assert failing and all(it["witness"] for it in failing)
 
 
+def nongeneric_cfg(tmp_path, command, bundle=True):
+    """alpha = (1/4, 1/2) satisfies alpha_1 = alpha_2^2 exactly."""
+    write(tmp_path / "spec.json", hopf_spec_json((("1/4", "0"), ("1/2", "0"))))
+    write(tmp_path / "bundle.json", {"beta": {"re": "1/3", "im": "0"}})
+    inputs = {"spec": "spec.json"}
+    if bundle:
+        inputs["bundle"] = "bundle.json"
+    return write(tmp_path / "cfg.json", {"command": command, "inputs": inputs,
+                                         "params": {"exp_bound": 8}})
+
+
+def test_hopf_precheck_non_generic_spec_exits_1(tmp_path, capsys):
+    # the certified monomial relation was reported as an input error (exit 2)
+    assert main(["--config", nongeneric_cfg(tmp_path, "hopf-precheck")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("certified failure") and "got diagonal" in err
+
+
+def test_hopf_classify_bundle_non_generic_spec_exits_1(tmp_path, capsys):
+    # without the bundle the same relation already exited 1; with it, 2
+    assert main(["--config", nongeneric_cfg(tmp_path, "hopf-classify", False)]) == 1
+    assert main(["--config", nongeneric_cfg(tmp_path, "hopf-classify")]) == 1
+    assert "certified failure" in capsys.readouterr().err
+    # a classical spec stays an input error for the generic-only checks
+    write(tmp_path / "spec.json", hopf_spec_json((("1/2", "0"), ("1/2", "0"))))
+    cfg = write(tmp_path / "cfg.json", {
+        "command": "hopf-precheck",
+        "inputs": {"spec": "spec.json", "bundle": "bundle.json"}, "params": {}})
+    assert main(["--config", cfg]) == 2
+
+
 def test_hopf_cover_with_chains(tmp_path):
     write(tmp_path / "spec.json",
           hopf_spec_json((("0.5", "0"), ("5/9", "0"))))

@@ -7,11 +7,11 @@ import pytest
 
 from germlin.divisors import (
     CochainSystem, DivisorError, IncompatibleSystem, ResonanceError,
-    apply_operator, bound_verify, compatibility_residual, compositions,
+    apply_operator, compatibility_residual, compositions,
     diophantine_scan, divisor, signed_vectors, solve_family, solve_single,
 )
 from germlin.scalars import QC
-from germlin.series import FormalSeries, GridSpec
+from germlin.series import FormalSeries
 from germlin.toroidal import DeckLinearData
 from conftest import random_series
 
@@ -240,57 +240,6 @@ def test_forward_inverse_family_consistency(rng):
     g1 = solve_family(CochainSystem(decks, F_fwd, "vertical", "forward"))
     g2 = solve_family(CochainSystem(decks, F_inv, "vertical", "inverse"))
     assert g1[0].terms == g2[0].terms == h_vec[0].terms
-
-
-# ----------------------------------------------------------------------
-# bound verification
-
-
-def unit_grid(radii=(0.9, 1.1), v_radius=0.4, angles=16):
-    return GridSpec([radii], v_radius, angles)
-
-
-def test_bound_verify_zero_solution():
-    decks = exact_decks(q=1, d=1)
-    rep = diophantine_scan(decks, 8)
-    zero = (FormalSeries.zero(1, 1, 12, 8),)
-    out = bound_verify(zero, (zero,), rep, unit_grid(), unit_grid(), 0.5, 0.5)
-    assert out.passed and out.c1 == 0.0
-
-
-def test_bound_verify_monomial_hand_computation():
-    decks = exact_decks(q=1, d=1)
-    rep = diophantine_scan(decks, 8)
-    f = (mono((0,), (2,)),)
-    sys = CochainSystem(decks, (f,), "vertical")
-    g = solve_family(sys)
-    delta, rho = 0.5, 0.25
-    before = unit_grid()
-    after = GridSpec([(0.9, 1.1)], 0.4 * math.exp(-rho), 16)
-    out = bound_verify(g, (f,), rep, before, after, delta, rho)
-    div = abs(decks.mu_pow(0, (2,)) - decks.mu[0][0])
-    sup_f = 0.4 ** 2
-    sup_g = (0.4 * math.exp(-rho)) ** 2 / div
-    expo = rep.tau + out.nu
-    want = sup_g / (sup_f * (delta ** -expo + rho ** -expo))
-    assert out.passed
-    assert out.c1 == pytest.approx(want, rel=1e-9)
-
-
-def test_bound_verify_stability_across_trials(rng):
-    decks = exact_decks(q=1, d=1)
-    rep = diophantine_scan(decks, 10)
-    c1s = []
-    for _ in range(20):
-        f = (random_series(rng, min_q=2, n_terms=4, trunc_h=20, max_p=1),)
-        if f[0].is_zero():
-            continue
-        g = solve_family(CochainSystem(decks, (f,), "vertical"))
-        out = bound_verify(g, (f,), rep, unit_grid(), unit_grid(v_radius=0.3),
-                           0.5, 0.5)
-        assert out.passed
-        c1s.append(out.c1)
-    assert max(c1s) / min(c1s) < 10.0
 
 
 def test_cochain_verify_flag(rng):

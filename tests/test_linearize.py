@@ -214,6 +214,19 @@ def test_residual_sensitive_to_coefficient_bump():
     assert residuals[3] > 0
 
 
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_vertical_residual_sensitive_to_coefficient_bump(direction):
+    gen = generate_commuting_decks(17, (1, 1, 2), N_V)
+    rep = diophantine_scan(gen.pert.decks, N_V + 4)
+    res = vertical_linearize(gen.pert, N_V, rep, direction)
+    assert res.max_residual == 0.0
+    bumped_v = (res.phi_v[0].add(mono((0,), (3,), QC(1))),)
+    residuals = conjugacy_residual(bumped_v, gen.pert, N_V, "vertical",
+                                   direction=direction)
+    assert residuals[:3] == [0.0, 0.0, 0.0]
+    assert residuals[3] > 0
+
+
 # ----------------------------------------------------------------------
 # majorant machinery
 
@@ -303,7 +316,7 @@ def test_certify_domination_end_to_end():
     rep = diophantine_scan(gen.pert.decks, 10)
     res = vertical_linearize(gen.pert, 6, rep)
     base = GridSpec([(0.9, 1.1)], 0.4, 12)
-    constants = fit_majorant_constants(gen.pert, rep, base, "vertical")
+    constants = fit_majorant_constants(gen.pert, rep, base)
     cert = majorant_functional_solve("vertical", constants, 6)
     grids = grid_ladder(base, 6, constants["eta_margin"])
     verdict = certify_domination(res, cert, grids, gen.pert.decks)
@@ -325,7 +338,7 @@ def test_certify_domination_sensitivity_zeroed_cert():
     rep = diophantine_scan(gen.pert.decks, 8)
     res = vertical_linearize(gen.pert, 4, rep)
     base = GridSpec([(0.9, 1.1)], 0.4, 8)
-    constants = fit_majorant_constants(gen.pert, rep, base, "vertical")
+    constants = fit_majorant_constants(gen.pert, rep, base)
     cert = majorant_functional_solve("vertical", constants, 4)
     cert.a_seq[:] = [0.0] * len(cert.a_seq)
     for seq in cert.b_seq.values():

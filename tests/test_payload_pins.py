@@ -56,9 +56,17 @@ CONFIGS = {
         "command": "linearize", "seed": 1,
         "params": {"n_h": 1, "d": 1, "q": 2, "n_v": 5, "lin_mode": "vertical",
                    "scale": "1/16"}},
+    "linearize-vertical-211": {
+        "command": "linearize", "seed": 4,
+        "params": {"n_h": 2, "d": 1, "q": 1, "n_v": 4, "lin_mode": "vertical",
+                   "scale": "1/16"}},
     "certify-111": {
         "command": "certify", "seed": 5,
         "params": {"n_v": 4, "scale": "1/64"}},
+    # q = 2: the vertical majorant couples A with 2q B
+    "certify-112": {
+        "command": "certify", "seed": 1,
+        "params": {"n_h": 1, "d": 1, "q": 2, "n_v": 5, "scale": "1/64"}},
     "dioph-scan-full": {
         "command": "dioph-scan", "inputs": {"decks": "decks.json"},
         "params": {"N": 8, "scan_mode": "full"}},
@@ -85,6 +93,7 @@ CONFIGS = {
 
 PINS = {
     "certify-111": "530af14607dd21c98d608c1de7ef021192a7443da9993cfbb8d1b27fc630c231",
+    "certify-112": "1de53a55f6a8b7590f36afd6c927d509bfeb67542abd481b1cfb5424b3126c32",
     "dioph-scan-full": "4aa93228091f4d456fdbaf37a27fb49b780d85429e0f49449b691e07eceb119b",
     "dioph-scan-resonant": "4350a9d93f734b34b197503364f34bc597b56077b7b4e8cf5f3265ba804cc4ef",
     "dioph-scan-two-decks": "8674acfa8083da0dfc510465c10aebabe363f1542d17a9d5300d7857c98b3daa",
@@ -94,6 +103,7 @@ PINS = {
     "linearize-full-122": "43f9938f2f3f9dc16683bfe497b6ce0348e9423f73005bce103c132f4f40f2f8",
     "linearize-full-211": "138c19a144d411e211b8ae42f738afd55b9e1886659914458112c7af16a92990",
     "linearize-vertical-112": "cc4520dbe191427decf5e85bcb1000d2fe89e68ec0e774e05d8dc7bcd83f1c22",
+    "linearize-vertical-211": "dffddcf337f7fe18a2ecebe37c54e740fb055db9bf195f7d0782533e90247ac4",
     "toroidal-validate-q1": "b524dd391bc4b4bc670262b82359c7fe33bdba7efb173ce17a4a0f7af52f03e9",
     "toroidal-validate-q2-rational": "85b656c672487c6fdaa9fd4ed3c9947fd61f907b05fd869a4aa74e37c787d85e",
 }
