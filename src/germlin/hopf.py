@@ -1,7 +1,6 @@
 """Hopf-manifold toolkit: eigenvalue-group membership, genericity
 classification, cohomology-vanishing criteria, nested Stein coverings with
-their transition graphs, Shilov-boundary constants, and the over-diagonal
-deformation.
+their transition graphs, and Shilov-boundary constants.
 
 A Hopf manifold here is the quotient of C^n minus the origin by a linear
 contraction with eigenvalues alpha (moduli in (0,1), nondecreasing), plus
@@ -480,6 +479,8 @@ def build_covering(spec: HopfSpec, delta, r1: Sequence) -> NestedCoveringSpec:
     r1 = list(r1)
     if len(r1) != spec.n:
         raise HopfError("need one base radius per coordinate")
+    if any(r <= 0 for r in r1):
+        raise HopfError("base radii must be positive")
     rows = [[], [], [], []]
     for j, (base, mod) in enumerate(zip(r1, alpha_mods)):
         if isinstance(base, Fraction) and isinstance(mod, Fraction):
@@ -684,7 +685,7 @@ def hopf_transition_graph(cov: NestedCoveringSpec, spec: HopfSpec,
 
 
 # ----------------------------------------------------------------------
-# Shilov constants and the over-diagonal deformation
+# Shilov constants
 
 
 @dataclass(frozen=True)
@@ -709,6 +710,11 @@ class ShilovPiece:
 
 
 def covering_piece(cov: NestedCoveringSpec, i: int, j: int) -> ShilovPiece:
+    """Band i (1, 2 or 3) of coordinate j times the boxes of the others."""
+    if i not in (1, 2, 3):
+        raise HopfError(f"band must be 1, 2 or 3, got {i}")
+    if not 0 <= j < cov.n:
+        raise HopfError(f"coordinate must lie in [0, {cov.n}), got {j}")
     return ShilovPiece(cov.n, j, cov.annulus(i - 1, j), cov.box_bound(j))
 
 
@@ -747,27 +753,3 @@ def jordan_field_matrix(alpha: complex, z: Sequence[complex]) -> np.ndarray:
         if i + 1 < n:
             g[i, i + 1] = z[i + 1]
     return g
-
-
-def jordan_deform(linear: np.ndarray, t: complex) -> np.ndarray:
-    """Conjugate by diag(t^{n-1}, ..., t, 1): entry (i, j) scales by
-    t^{j-i}.  At t = 0 the over-diagonal part dies and the diagonal
-    remains; lower-triangular entries make that limit undefined."""
-    import numpy as np
-    g = np.asarray(linear, dtype=complex)
-    n = g.shape[0]
-    if g.shape != (n, n):
-        raise HopfError("need a square matrix")
-    out = np.zeros_like(g)
-    for i in range(n):
-        for j in range(n):
-            if not g[i, j]:
-                continue
-            if t == 0:
-                if j < i:
-                    raise HopfError("t = 0 limit undefined for lower entries")
-                if j == i:
-                    out[i, j] = g[i, j]
-                continue
-            out[i, j] = g[i, j] * t ** (j - i)
-    return out

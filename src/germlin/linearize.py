@@ -287,6 +287,9 @@ def generate_commuting_decks(seed: int, dims: tuple[int, int, int], n_v: int,
     n_h, d, q = dims
     if decks is None:
         decks = default_linear_decks(n_h, d, q)
+    elif (decks.n_h, decks.d, decks.q) != dims:
+        raise LinearizeError(f"dims {dims} do not match the decks, "
+                             f"{(decks.n_h, decks.d, decks.q)}")
     rng = random.Random(seed)
     max_p = 1
     n_h_budget = (n_v + 1) * (max_p + 1) + max_p

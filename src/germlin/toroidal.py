@@ -175,14 +175,6 @@ def shear_to_standard(spec: ToroidalSpec) -> LatticeBasis:
     return LatticeBasis(gamma, gamma_std, gamma_prime)
 
 
-def inverse_shear(spec: ToroidalSpec, basis: LatticeBasis) -> np.ndarray:
-    import numpy as np
-    n_r, q = spec.n_r, spec.q
-    unshear = np.block([[np.eye(n_r), spec.R1],
-                        [np.zeros((q, n_r)), np.eye(q)]]).astype(complex)
-    return unshear @ basis.gamma_std
-
-
 class IrrationalityResult(NamedTuple):
     passed: bool
     witness: tuple[int, ...] | None

@@ -352,7 +352,7 @@ def test_certified_solver_failures_exit_1(tmp_path, monkeypatch):
             raise exc("planted")
 
         monkeypatch.setitem(cli.PIPELINES, "dioph-scan",
-                            (raiser, cli.PIPELINES["dioph-scan"][1]))
+                            cli.PIPELINES["dioph-scan"]._replace(run=raiser))
         assert main(["--config", cfg]) == code
 
 
@@ -382,3 +382,87 @@ def test_laurent_budget_overflow_exits_1(tmp_path, monkeypatch):
     monkeypatch.setattr(linearize, "full_linearize", overflowing)
     cfg = write(tmp_path / "cfg.json", {"command": "linearize", "params": {"n_v": 3}})
     assert main(["--config", cfg]) == 1
+
+
+def contract_inputs(tmp_path):
+    write(tmp_path / "decks.json", decks_json())
+    write(tmp_path / "spec.json", hopf_spec_json())
+    write(tmp_path / "cover.json", hopf_spec_json((("0.5", "0"), ("5/9", "0"))))
+    write(tmp_path / "bundle.json", {"beta": {"re": "0.2", "im": "0"}})
+
+
+COVER = {"spec": "cover.json"}
+PRECHECK = {"spec": "spec.json", "bundle": "bundle.json"}
+
+
+@pytest.mark.parametrize("config", [
+    # each escaped main as a traceback, exit 1
+    pytest.param({"command": "linearize", "seed": None}, id="seed-null"),
+    pytest.param({"command": "linearize", "params": {"n_v": 3, "scale": [1]}}, id="scale-list"),
+    pytest.param({"command": "dioph-scan", "inputs": ["decks.json"]}, id="inputs-list"),
+    pytest.param({"command": ["dioph-scan"]}, id="command-list"),
+    pytest.param({"command": "dioph-scan", "inputs": {"decks": 5}}, id="input-path-int"),
+    pytest.param({"command": "hopf-cover", "inputs": COVER, "params": {"r1": 1}}, id="r1-int"),
+    pytest.param({"command": "hopf-cover", "inputs": COVER,
+                  "params": {"delta": "18/100", "r1": ["0", "1"]}}, id="r1-zero"),
+    # each exited 0 on another run than the config asked for
+    pytest.param({"command": "linearize", "params": {"n_v": 3.5}}, id="n_v-float"),
+    pytest.param({"command": "dioph-scan", "inputs": {"decks": "decks.json"},
+                  "params": {"N": 4.7}}, id="N-float"),
+    pytest.param({"command": "linearize", "params": {"n_v": "4"}}, id="n_v-string"),
+    pytest.param({"command": "hopf-cover", "inputs": COVER,
+                  "params": {"delta": "18/100", "mc_points": -5}}, id="mc_points-negative"),
+    pytest.param({"command": "hopf-precheck", "inputs": PRECHECK, "params": {"n_v": -1}},
+                 id="precheck-n_v-negative"),
+    pytest.param({"command": "linearize", "inputs": {"deck": "decks.json"},
+                  "params": {"n_v": 3}}, id="misspelt-decks"),
+    pytest.param({"command": "hopf-classify", "inputs": {
+        "spec": "spec.json", "bundel": "bundle.json"}}, id="misspelt-bundle"),
+    pytest.param({"command": "dioph-scan", "seed": "abc", "inputs": {"decks": "decks.json"},
+                  "params": {"N": 4}}, id="seed-string"),
+    pytest.param({"command": "linearize", "inputs": {"decks": "decks.json"},
+                  "params": {"n_v": 3, "q": 2}}, id="dims-unlike-decks"),
+    # params that did nothing
+    pytest.param({"command": "hopf-classify", "inputs": {"spec": "spec.json"},
+                  "params": {"variant": "bogus"}}, id="variant-bogus"),
+    pytest.param({"command": "hopf-classify", "inputs": {"spec": "spec.json"},
+                  "params": {"variant": "classical"}}, id="variant-without-bundle"),
+    pytest.param({"command": "shilov", "inputs": COVER,
+                  "params": {"delta": "18/100", "alpha": "9"}}, id="alpha-diagonal"),
+    # shilov's band and coord: IndexError, or another band's piece
+    *[pytest.param({"command": "shilov", "inputs": COVER,
+                    "params": {"delta": "18/100", **p}}, id=f"shilov-{k}")
+      for k, p in [("band9", {"band": 9}), ("coord9", {"coord": 9}),
+                   ("band0", {"band": 0}), ("band-1", {"band": -1})]],
+])
+def test_malformed_config_is_input_error(tmp_path, capsys, config):
+    contract_inputs(tmp_path)
+    cfg = write(tmp_path / "cfg.json", config)
+    assert main(["--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("input error")
+
+
+@pytest.mark.parametrize("params, message", [
+    # "empty range for randrange()" and "key beyond vertical truncation"
+    ({"d": 0}, "params.d must be finite in [1, inf], got 0"),
+    ({"n_v": True}, "params.n_v must be a JSON integer, got True"),
+])
+def test_param_error_names_the_param(tmp_path, capsys, params, message):
+    cfg = write(tmp_path / "cfg.json", {"command": "linearize", "params": params})
+    assert main(["--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_report_echoes_resolved_params(tmp_path):
+    # defaults were left out of the echo, and "1/32" was echoed unreduced
+    contract_inputs(tmp_path)
+    _, report = run_cli(tmp_path, {"command": "linearize", "seed": 3,
+                                   "params": {"n_v": 3, "scale": "2/64"}})
+    assert report["config"]["params"] == {
+        "n_h": 1, "d": 1, "q": 1, "n_v": 3, "profile": "coboundary",
+        "scale": "1/32", "lin_mode": "full"}
+    _, report = run_cli(tmp_path, {"command": "shilov", "inputs": COVER,
+                                   "params": {"delta": "18/100", "fields": "jordan"}})
+    assert report["config"]["params"] == {
+        "delta": "9/50", "r1": ["1", "1"], "band": 1, "coord": 0,
+        "fields": "jordan", "alpha": 0.5}

@@ -14,7 +14,7 @@ from germlin.hopf import (
     ShilovPiece, TransitionGraph, build_covering, classify_hopf,
     covering_piece, delta_membership, delta_membership_bruteforce,
     h0_monomial_oracle, hopf_precheck, hopf_transition_graph,
-    jordan_deform, jordan_field_matrix, orbit_hits,
+    jordan_field_matrix, orbit_hits,
     reachable_with_contraction, shilov_constant, transition_chain_search,
     vanishing_predicate, _approx_eq, _power_product,
 )
@@ -326,6 +326,22 @@ def test_covering_rejects_bad_delta_ranges():
         build_covering(spec, Fraction(3, 10), [Fraction(1), Fraction(1)])  # overlap
 
 
+def test_covering_rejects_nonpositive_base_radius():
+    # r1 = 0 divided by zero inside build_covering
+    for r1 in ([Fraction(0), Fraction(1)], [Fraction(1), Fraction(-1, 2)]):
+        with pytest.raises(HopfError):
+            build_covering(half_spec(), Fraction(1, 5), r1)
+
+
+@pytest.mark.parametrize("band, coord", [(0, 0), (-1, 0), (4, 0), (1, 2), (1, -1)])
+def test_covering_piece_rejects_band_and_coord_out_of_range(band, coord):
+    # bands 0 and -1 gave the annuli of bands 3 and 2; band 4 and coord 2 IndexError
+    cov = build_covering(half_spec(), Fraction(1, 5), [Fraction(1), Fraction(1)])
+    with pytest.raises(HopfError):
+        covering_piece(cov, band, coord)
+    assert covering_piece(cov, 3, 1).annulus == cov.annulus(2, 1)
+
+
 def test_covering_monte_carlo_no_gap_no_triple():
     spec = HopfSpec((qc(1, 2), qc(5, 9)))
     cov = build_covering(spec, Fraction(18, 100), [Fraction(1), Fraction(1)])
@@ -488,7 +504,7 @@ def test_chain_search_matches_closure_oracle_random():
 
 
 # ----------------------------------------------------------------------
-# Shilov constants and deformation
+# Shilov constants
 
 
 def test_shilov_diagonal_closed_form():
@@ -526,22 +542,3 @@ def test_shilov_monotone_in_radii():
 def test_shilov_rejects_zero_radius():
     with pytest.raises(HopfError):
         ShilovPiece(2, 0, (0.0, 1.0), 1.0)
-
-
-def test_jordan_deform_block():
-    block = np.array([[0.5, 1.0], [0.0, 0.5]])
-    out = jordan_deform(block, 0.25)
-    assert np.allclose(out, [[0.5, 0.25], [0.0, 0.5]])
-    assert np.allclose(jordan_deform(block, 0.0), np.diag([0.5, 0.5]))
-    diag = np.diag([0.3, 0.7])
-    assert np.allclose(jordan_deform(diag, 5.0), diag)
-
-
-def test_jordan_deform_preserves_spectrum():
-    rng = np.random.default_rng(47)
-    g = np.triu(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    for t in (0.5, 2.0, 1j):
-        before = sorted(np.linalg.eigvals(g), key=lambda z: (z.real, z.imag))
-        after = sorted(np.linalg.eigvals(jordan_deform(g, t)),
-                       key=lambda z: (z.real, z.imag))
-        assert np.allclose(before, after)

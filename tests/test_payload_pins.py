@@ -1,5 +1,6 @@
 """Byte-identity guard: the payload sha256 of small fixed configs, exact
-and (for one scan) float.
+and (for one scan) float, and the same payload from a rerun of the
+config each report echoes.
 
 A change to the series kernel, the solvers or the fixture generator must
 leave every pinned payload byte for byte as it was.  A change that alters a
@@ -11,6 +12,7 @@ import json
 
 import pytest
 
+from germlin.cli import PIPELINES
 from test_cli import (
     decks_json, hopf_spec_json, resonant_decks_json, run_cli, toroidal_spec_json, write,
 )
@@ -109,8 +111,7 @@ PINS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_payload_sha256_pinned(tmp_path, name):
+def write_inputs(tmp_path):
     write(tmp_path / "decks.json", decks_json())
     write(tmp_path / "bad.json", resonant_decks_json())
     write(tmp_path / "decks2.json", two_deck_json())
@@ -118,6 +119,26 @@ def test_payload_sha256_pinned(tmp_path, name):
     write(tmp_path / "bundle.json", {"beta": {"re": "0.2", "im": "0"}})
     write(tmp_path / "toroidal.json", toroidal_spec_json())
     write(tmp_path / "toroidal2.json", rank2_rational_toroidal_json())
-    _, report = run_cli(tmp_path, CONFIGS[name])
+
+
+def digest(report) -> str:
     text = json.dumps(report["payload"], sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == PINS[name]
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_payload_sha256_pinned(tmp_path, name):
+    write_inputs(tmp_path)
+    _, report = run_cli(tmp_path, CONFIGS[name])
+    assert digest(report) == PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_echoed_config_reproduces_payload(tmp_path, name):
+    # the report's config block, rerun as a config, gives the same payload
+    write_inputs(tmp_path)
+    code, report = run_cli(tmp_path, CONFIGS[name])
+    echo = report["config"]
+    assert set(echo["params"]) == set(PIPELINES[echo["command"]].params)
+    code2, rerun = run_cli(tmp_path, echo, name="echo.json", out="rerun.json")
+    assert (code2, digest(rerun), rerun["config"]) == (code, digest(report), echo)

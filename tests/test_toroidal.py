@@ -13,7 +13,7 @@ from germlin.toroidal import (
     DeckLinearData, DomainSpec, GeometryError, Kappa0Result, LatticeBasis,
     ToroidalSpec, convex_extension_eta, deck_consistency_residual,
     deck_linear_parts, domain_membership,
-    inverse_shear, kappa0_estimate, kappa0_grid_check, point_from_w,
+    kappa0_estimate, kappa0_grid_check, point_from_w,
     shear_to_standard, validate_irrationality,
 )
 
@@ -107,14 +107,6 @@ def test_shear_identity_when_r1_zero():
     spec = basic_spec(0.0, SQRT3)
     basis = shear_to_standard(spec)
     assert np.allclose(basis.gamma, basis.gamma_std)
-
-
-def test_inverse_shear_recovers_basis():
-    rng = random.Random(7)
-    for _ in range(5):
-        spec = basic_spec(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        basis = shear_to_standard(spec)
-        assert np.max(np.abs(inverse_shear(spec, basis) - basis.gamma)) < 1e-12
 
 
 def test_deck_linear_parts_example():
