@@ -128,9 +128,15 @@ def load_config(path: str, overrides: dict) -> dict:
     return config
 
 
-def _read_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _decode(config: dict, name: str, decoder, *args):
+    """Input ``name`` read and decoded; a file of the wrong shape is an input
+    error that names the input."""
+    with open(config["inputs"][name], "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    try:
+        return decoder(data, *args)
+    except (TypeError, AttributeError, KeyError) as exc:
+        raise ConfigError(f"input {name} is malformed: {type(exc).__name__}: {exc}") from None
 
 
 def _input_digest(config: dict) -> str:
@@ -153,7 +159,7 @@ def _decks_from_json(data: dict, field) -> DeckLinearData:
 
 
 def _run_toroidal_validate(config: dict):
-    spec = ToroidalSpec.from_json_dict(_read_json(config["inputs"]["spec"]))
+    spec = _decode(config, "spec", ToroidalSpec.from_json_dict)
     params = config["params"]
     irr = toroidal.validate_irrationality(spec, params["height_bound"])
     basis = toroidal.shear_to_standard(spec)
@@ -170,7 +176,7 @@ def _run_toroidal_validate(config: dict):
 
 
 def _run_dioph_scan(config: dict):
-    decks = _decks_from_json(_read_json(config["inputs"]["decks"]), FIELDS[config["mode"]])
+    decks = _decode(config, "decks", _decks_from_json, FIELDS[config["mode"]])
     params = config["params"]
     report = diophantine_scan(decks, params["N"], params["scan_mode"])
     return report.to_json_dict(), FAIL if report.has_resonance else PASS
@@ -181,7 +187,7 @@ def _fixture(config: dict):
     dims = (params["n_h"], params["d"], params["q"])
     decks = None
     if "decks" in config["inputs"]:
-        decks = _decks_from_json(_read_json(config["inputs"]["decks"]), QQI)
+        decks = _decode(config, "decks", _decks_from_json, QQI)
     gen = linearize.generate_commuting_decks(config["seed"], dims, params["n_v"],
                                              params["profile"], decks, params["scale"])
     return gen, params["n_v"]
@@ -231,12 +237,12 @@ def _run_hopf_classify(config: dict):
     params, has_bundle = config["params"], "bundle" in config["inputs"]
     if not has_bundle and params["variant"] is not None:
         raise ConfigError("variant is read only with a bundle input")
-    spec = hopf.HopfSpec.from_json_dict(_read_json(config["inputs"]["spec"]))
+    spec = _decode(config, "spec", hopf.HopfSpec.from_json_dict)
     cls = hopf.classify_hopf(spec, params["exp_bound"])
     payload = {"kind": cls.kind, "reason": cls.reason, "bound": cls.bound,
                "witness": [list(w) for w in cls.witness] if cls.witness else None}
     if has_bundle:
-        bundle = hopf.FlatBundle.from_json_dict(_read_json(config["inputs"]["bundle"]))
+        bundle = _decode(config, "bundle", hopf.FlatBundle.from_json_dict)
         variant = params["variant"] = params["variant"] or "mall_generic"
         rep = hopf.vanishing_predicate(bundle, spec, variant, params["exp_bound"])
         payload["vanishing"] = {
@@ -249,8 +255,8 @@ def _run_hopf_classify(config: dict):
 
 
 def _run_hopf_precheck(config: dict):
-    spec = hopf.HopfSpec.from_json_dict(_read_json(config["inputs"]["spec"]))
-    bundle = hopf.FlatBundle.from_json_dict(_read_json(config["inputs"]["bundle"]))
+    spec = _decode(config, "spec", hopf.HopfSpec.from_json_dict)
+    bundle = _decode(config, "bundle", hopf.FlatBundle.from_json_dict)
     params = config["params"]
     rep = hopf.hopf_precheck(bundle, spec, params["n_v"], params["exp_bound"])
     return rep.to_json_dict(), PASS if rep.passed else FAIL
@@ -258,7 +264,7 @@ def _run_hopf_precheck(config: dict):
 
 def _covering(config: dict):
     """The spec and its covering; r1 defaults to one unit radius per coordinate."""
-    spec = hopf.HopfSpec.from_json_dict(_read_json(config["inputs"]["spec"]))
+    spec = _decode(config, "spec", hopf.HopfSpec.from_json_dict)
     params = config["params"]
     if params["r1"] is None:
         params["r1"] = [Fraction(1)] * spec.n
@@ -282,7 +288,7 @@ def _run_hopf_cover(config: dict):
                               "triple_overlaps": triples}
     ok = uncovered == 0 and triples == 0
     if "bundle" in config["inputs"]:
-        bundle = hopf.FlatBundle.from_json_dict(_read_json(config["inputs"]["bundle"]))
+        bundle = _decode(config, "bundle", hopf.FlatBundle.from_json_dict)
         graph = hopf.hopf_transition_graph(cov, spec, bundle)
         chains = hopf.transition_chain_search(graph)
         payload["chains"] = {str(node): ([str(x) for x in chain] if chain else None)

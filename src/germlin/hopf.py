@@ -170,27 +170,31 @@ class MembershipResult(NamedTuple):
     bound: int
 
 
-def _log_vectors(spec: HopfSpec, norms) -> list[tuple[tuple[int, ...], float]]:
-    """(v, sum v_i log|alpha_i|) for every v in Z^n with |v|_1 in norms,
-    in norm-then-lex order."""
-    logs = [math.log(abs(a)) for a in spec.alpha_complex()]
+def _log_vectors(alpha, norms, signed: bool = True) -> list[tuple[tuple[int, ...], float]]:
+    """(v, sum v_i log|alpha_i|) for every v in Z^n (N^n unless ``signed``)
+    with |v|_1 in norms, in norm-then-lex order."""
+    logs = [math.log(abs(as_complex(a))) for a in alpha]
+    walk = signed_vectors if signed else compositions
     return [(v, sum(l * e for l, e in zip(logs, v)))
-            for norm in norms for v in sorted(signed_vectors(norm, spec.n))]
+            for norm in norms for v in sorted(walk(norm, len(alpha)))]
 
 
-def _first_relation(alpha, vectors, target) -> tuple[int, ...] | None:
-    """First v of ``vectors`` with prod alpha^v = target.
+def _first_relation(alpha, vectors, target, torsion=None) -> tuple[int, ...] | None:
+    """First v of ``vectors`` with prod alpha^v = target and, when
+    ``torsion`` = (a, d) is given, a^{|v|} = d.
 
     A v whose log-modulus lies far from log|target| is skipped before any
     product is formed: an exact or 1e-12-relative equality puts the two
     within about 1e-12 (1 + |log|), far inside the 1e-9 slack."""
     target_c = as_complex(target)
     log_target = math.log(abs(target_c)) if target_c else None
+    a, d = torsion or (None, None)
     for v, approx in vectors:
         if (log_target is not None
                 and abs(approx - log_target) > 64 * EQ_TOL * (1 + abs(approx)) + 1e-9):
             continue
-        if _approx_eq(_power_product(alpha, v), target):
+        if _approx_eq(_power_product(alpha, v), target) and (
+                a is None or _approx_eq(_power_product([a], [sum(v)]), d)):
             return v
     return None
 
@@ -203,7 +207,7 @@ def delta_membership(beta, spec: HopfSpec, m_power: int = 1,
     if exp_bound < 1 or m_power < 1:
         raise HopfError("bounds must be >= 1")
     target = _power_product([beta], [m_power])
-    v = _first_relation(spec.alpha, _log_vectors(spec, range(exp_bound + 1)), target)
+    v = _first_relation(spec.alpha, _log_vectors(spec.alpha, range(exp_bound + 1)), target)
     return MembershipResult(v is not None, v, exp_bound)
 
 
@@ -246,7 +250,7 @@ def classify_hopf(spec: HopfSpec, exp_bound: int = 8) -> ClassifyResult:
     if any(m2 <= m1 + EQ_TOL for m1, m2 in zip(mods, mods[1:])):
         return ClassifyResult("diagonal", None, exp_bound,
                               "moduli not strictly ordered")
-    vectors = [(s, approx) for s, approx in _log_vectors(spec, range(1, 2 * exp_bound + 1))
+    vectors = [(s, approx) for s, approx in _log_vectors(alpha, range(1, 2 * exp_bound + 1))
                if sum(e for e in s if e > 0) <= exp_bound
                and sum(-e for e in s if e < 0) <= exp_bound]
     s = _first_relation(alpha, vectors, (field_of(alpha) or CC).one)
@@ -287,63 +291,35 @@ def vanishing_predicate(bundle: FlatBundle, spec: HopfSpec, variant: str,
     every exponent vector of N^n up to the bound: the cones of the paper's
     statement are not recorded here, so none is imposed.
     """
+    alpha, bounds = spec.alpha, range(exp_bound + 1)
     if variant == "mall_generic":
         _require_generic(spec, exp_bound, "variant mall_generic")
-        res = delta_membership(bundle.beta, spec, 1, exp_bound)
-        holds = not res.member
-        return VanishingReport(variant, holds, holds or None, holds or None,
-                               res.witness, exp_bound,
-                               "beta outside the eigenvalue group up to bound"
-                               if holds else "beta is a witnessed member")
-    if variant == "classical":
-        alpha = spec.alpha
+        witness = delta_membership(bundle.beta, spec, 1, exp_bound).witness
+        reason = ("beta outside the eigenvalue group up to bound", "beta is a witnessed member")
+    elif variant == "classical":
         if not all(_approx_eq(a, alpha[0]) for a in alpha):
             raise HopfError("variant classical needs equal eigenvalues")
-        witness = None
-        for k in range(-exp_bound, exp_bound + 1):
-            if _approx_eq(_power_product([alpha[0]], [k]), bundle.beta):
-                witness = (k,)
-                break
-        holds = witness is None
-        return VanishingReport(variant, holds, holds or None, holds or None,
-                               witness, exp_bound,
-                               "beta outside the cyclic group up to bound"
-                               if holds else "beta is a power of alpha")
-    if variant in ("zhou1", "zhou2"):
+        # k = -exp_bound..exp_bound in ascending order
+        witness = _first_relation(alpha[:1], sorted(_log_vectors(alpha[:1], bounds)),
+                                  bundle.beta)
+        reason = ("beta outside the cyclic group up to bound", "beta is a power of alpha")
+    elif variant in ("zhou1", "zhou2"):
         if spec.torsion is None or bundle.d_char is None:
             raise HopfError("zhou variants need torsion data and d_char")
-        m_order, a_root = spec.torsion
-        c, d = bundle.beta, bundle.d_char
         if variant == "zhou1":
-            alpha = spec.alpha
             if not all(_approx_eq(x, alpha[0]) for x in alpha):
                 raise HopfError("variant zhou1 needs a scalar contraction")
-            witness = None
-            for r in range(0, exp_bound + 1):
-                if (_approx_eq(_power_product([alpha[0]], [r]), c)
-                        and _approx_eq(_power_product([a_root], [r]), d)):
-                    witness = (r,)
-                    break
-            holds = witness is None
-            return VanishingReport(variant, holds, holds or None, holds or None,
-                                   witness, exp_bound,
-                                   "no exponent r with c = mu^r, d = a^r"
-                                   if holds else "witnessed exponent")
-        witness = None
-        for total in range(0, exp_bound + 1):
-            if witness:
-                break
-            for v in sorted(compositions(total, spec.n)):
-                if (_approx_eq(_power_product(spec.alpha, v), c)
-                        and _approx_eq(_power_product([a_root], [sum(v)]), d)):
-                    witness = v
-                    break
-        holds = witness is None
-        return VanishingReport(variant, holds, holds or None, holds or None,
-                               witness, exp_bound,
-                               "no admissible exponent vector" if holds
-                               else "witnessed exponent vector")
-    raise HopfError(f"unknown vanishing variant {variant!r}")
+            alpha = alpha[:1]
+            reason = ("no exponent r with c = mu^r, d = a^r", "witnessed exponent")
+        else:
+            reason = ("no admissible exponent vector", "witnessed exponent vector")
+        witness = _first_relation(alpha, _log_vectors(alpha, bounds, signed=False),
+                                  bundle.beta, (spec.torsion[1], bundle.d_char))
+    else:
+        raise HopfError(f"unknown vanishing variant {variant!r}")
+    holds = witness is None
+    return VanishingReport(variant, holds, holds or None, holds or None,
+                           witness, exp_bound, reason[0] if holds else reason[1])
 
 
 class CheckItem(NamedTuple):
@@ -378,7 +354,7 @@ def hopf_precheck(bundle: FlatBundle, spec: HopfSpec, n_v: int = 6,
     every twist."""
     _require_generic(spec, min(exp_bound, 8), "precheck")
     alpha = spec.alpha
-    vectors = _log_vectors(spec, range(exp_bound + 1))
+    vectors = _log_vectors(alpha, range(exp_bound + 1))
     items = []
 
     def probe(name, target, index, power):

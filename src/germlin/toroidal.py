@@ -1,6 +1,6 @@
-"""Toroidal-group data: period/gluing matrices, standard coordinates,
-Reinhardt domain membership, and the slab-geometry constants (kappa0 and
-the convex-hull extension margin).
+"""Toroidal-group data: period/gluing matrices, standard coordinates, deck
+linear parts, and the slab-geometry constants (kappa0 and the convex-hull
+extension margin).
 
 Conventions.  A group of rank ``q`` inside dimension ``n_h = n - a - b``
 is presented by the column matrix ``[[I, R1, R2, R3], [0, I_q, P0, P1]]``;
@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -122,34 +122,6 @@ class ToroidalSpec:
         return cls(int(data["n"]), int(data["a"]), int(data["b"]),
                    int(data["q"]), real_m(data["R1"]), real_m(data["R2"]),
                    cplx_m(data["R3"]), cplx_m(data["P0"]), cplx_m(data["P1"]))
-
-
-@dataclass(frozen=True)
-class DomainSpec:
-    """Slab width, box bound, and the decreasing vertical-radius table."""
-
-    epsilon: float
-    rcap: float
-    r_table: tuple[tuple[float, float], ...] = field(default=((1.0, 0.5),))
-
-    def __post_init__(self):
-        if self.epsilon <= 0 or self.rcap <= 0:
-            raise GeometryError("epsilon and R must be positive")
-        table = tuple(sorted((float(a), float(b)) for a, b in self.r_table))
-        last = math.inf
-        for _, r in table:
-            if r <= 0 or r > last:
-                raise GeometryError("r table must be positive and nonincreasing")
-            last = r
-        object.__setattr__(self, "r_table", table)
-
-    def r_of(self, rcap: float | None = None) -> float:
-        """Radius for the given box bound: first table entry with key >= R."""
-        rcap = self.rcap if rcap is None else rcap
-        for key, r in self.r_table:
-            if key >= rcap:
-                return r
-        return self.r_table[-1][1]
 
 
 class LatticeBasis(NamedTuple):
@@ -304,53 +276,6 @@ def deck_consistency_residual(decks: DeckLinearData, basis: LatticeBasis) -> flo
             ref = cmath.exp(2j * cmath.pi * basis.gamma_prime[i, l])
             worst = max(worst, abs(as_complex(decks.lam[l][i]) - ref))
     return worst
-
-
-# ----------------------------------------------------------------------
-# domain membership
-
-
-def real_basis_matrix(gamma_std: np.ndarray) -> np.ndarray:
-    import numpy as np
-    return np.vstack([gamma_std.real, gamma_std.imag])
-
-
-def domain_membership(point: Sequence[complex], spec: ToroidalSpec,
-                      dom: DomainSpec) -> bool:
-    """Is a point of (C*)^{n_h} inside the epsilon/R Reinhardt domain?
-
-    Solves for the real coordinates w in the standard lattice basis; the
-    first n_h coordinates are angular and only enter mod 1, the next q must
-    lie in the slab (-eps, 1+eps), the rest in (-R, R).
-    """
-    import numpy as np
-    pt = [complex(z) for z in point]
-    if len(pt) != spec.n_h:
-        raise GeometryError("point arity mismatch")
-    if any(z == 0 for z in pt):
-        raise GeometryError("point must avoid the coordinate axes")
-    basis = shear_to_standard(spec)
-    frak = np.array([cmath.phase(z) / (2 * math.pi)
-                     - 1j * math.log(abs(z)) / (2 * math.pi) for z in pt])
-    B = real_basis_matrix(basis.gamma_std)
-    rhs = np.concatenate([frak.real, frak.imag])
-    try:
-        w = np.linalg.solve(B, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise GeometryError("singular real basis") from exc
-    n_h, q = spec.n_h, spec.q
-    slab = w[n_h:n_h + q]
-    box = w[n_h + q:]
-    return bool(np.all(slab > -dom.epsilon) and np.all(slab < 1 + dom.epsilon)
-                and np.all(np.abs(box) < dom.rcap))
-
-
-def point_from_w(w: Sequence[float], spec: ToroidalSpec) -> list[complex]:
-    """Exponentiated standard coordinates of a real coordinate vector."""
-    import numpy as np
-    basis = shear_to_standard(spec)
-    frak = basis.gamma_std @ np.asarray(w, dtype=float)
-    return [cmath.exp(2j * cmath.pi * z) for z in frak]
 
 
 # ----------------------------------------------------------------------

@@ -442,6 +442,26 @@ def test_malformed_config_is_input_error(tmp_path, capsys, config):
     assert capsys.readouterr().err.startswith("input error")
 
 
+@pytest.mark.parametrize("command, name, data", [
+    # each escaped main as a TypeError or AttributeError traceback, exit 1
+    pytest.param("dioph-scan", "decks", 5, id="decks-int"),
+    pytest.param("dioph-scan", "decks", {"lambda": [[5]], "mu": [[5]]}, id="decks-int-entries"),
+    pytest.param("linearize", "decks", {"lambda": 5, "mu": []}, id="decks-int-rows"),
+    pytest.param("hopf-classify", "spec", {"alpha": 5}, id="hopf-alpha-int"),
+    pytest.param("hopf-classify", "spec", 5, id="hopf-spec-int"),
+    pytest.param("hopf-precheck", "bundle", {"beta": 5}, id="bundle-beta-int"),
+    pytest.param("toroidal-validate", "spec", {**toroidal_spec_json(), "R1": 5},
+                 id="toroidal-R1-int"),
+])
+def test_malformed_input_file_is_input_error(tmp_path, capsys, command, name, data):
+    contract_inputs(tmp_path)
+    write(tmp_path / "bad.json", data)
+    inputs = {**(PRECHECK if command == "hopf-precheck" else {}), name: "bad.json"}
+    cfg = write(tmp_path / "cfg.json", {"command": command, "inputs": inputs})
+    assert main(["--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: input {name} is malformed")
+
+
 @pytest.mark.parametrize("params, message", [
     # "empty range for randrange()" and "key beyond vertical truncation"
     ({"d": 0}, "params.d must be finite in [1, inf], got 0"),

@@ -1,6 +1,6 @@
 """Cross-cutting checks at higher desk dimensions and remaining edge
 surfaces: multi-coordinate decks, the box part of the slab estimate,
-domain tables, float-mode cleanup, and truncation budgets."""
+float-mode cleanup, and truncation budgets."""
 
 import math
 import random
@@ -18,9 +18,7 @@ from germlin.scalars import CC, QC
 from germlin.series import (
     FormalSeries, GridSpec, SeriesError, TruncationOverflow, substitute_shift,
 )
-from germlin.toroidal import (
-    DomainSpec, GeometryError, kappa0_estimate, kappa0_grid_check,
-)
+from germlin.toroidal import kappa0_estimate, kappa0_grid_check
 
 
 def test_full_linearize_two_decks():
@@ -70,18 +68,6 @@ def test_kappa0_with_box_directions():
     assert res.kappa0 > 0
     assert kappa0_grid_check(slab, 0.6, 0.2, (2, -1, 1), res, 800,
                              rcap=0.7, r_im=r_im, seed=5)
-
-
-def test_domain_spec_table_lookup_and_validation():
-    dom = DomainSpec(0.2, 2.0, r_table=((1.0, 0.5), (2.0, 0.4), (4.0, 0.25)))
-    assert dom.r_of(0.5) == 0.5
-    assert dom.r_of(2.0) == 0.4
-    assert dom.r_of(3.0) == 0.25
-    assert dom.r_of(100.0) == 0.25
-    with pytest.raises(GeometryError):
-        DomainSpec(0.2, 1.0, r_table=((1.0, 0.5), (2.0, 0.9)))
-    with pytest.raises(GeometryError):
-        DomainSpec(-0.2, 1.0)
 
 
 # ----------------------------------------------------------------------

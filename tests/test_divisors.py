@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from germlin.divisors import (
-    CochainSystem, DivisorError, IncompatibleSystem, ResonanceError,
+    CochainSystem, IncompatibleSystem, ResonanceError,
     apply_operator, compatibility_residual, compositions,
-    diophantine_scan, divisor, signed_vectors, solve_family, solve_single,
+    diophantine_scan, divisor_scalar, signed_vectors, solve_family,
 )
-from germlin.scalars import QC
+from germlin.scalars import CC, QC
 from germlin.series import FormalSeries
 from germlin.toroidal import DeckLinearData
 from conftest import random_series
@@ -36,19 +36,14 @@ def mono(p, q, c=QC(1), th=12, tv=8):
 
 def test_divisor_direct_arithmetic():
     decks = DeckLinearData([[QC(1)]], [[HALF]])
-    val = divisor(decks, (0,), (2,), ("v", 0), 0)
+    val = abs(divisor_scalar(decks, (0,), (2,), "v", 0, 0))
     assert val == pytest.approx(0.25)
 
 
 def test_divisor_exact_resonance_is_zero():
     # mu_2 = mu_1^2 with lam trivial: divisor at Q = (2, 0), j = 2 vanishes
     decks = DeckLinearData([[QC(1)]], [[HALF, QC(Fraction(1, 4))]])
-    assert divisor(decks, (0,), (2, 0), ("v", 1), 0) == 0.0
-
-
-def test_divisor_requires_q_norm_two():
-    with pytest.raises(DivisorError):
-        divisor(exact_decks(), (0,), (1,), ("v", 0), 0)
+    assert abs(divisor_scalar(decks, (0,), (2, 0), "v", 1, 0)) == 0.0
 
 
 def test_divisor_matches_high_precision_oracle():
@@ -59,7 +54,7 @@ def test_divisor_matches_high_precision_oracle():
         mu = rng.uniform(0.1, 0.9)
         decks = DeckLinearData([[lam]], [[complex(mu)]])
         p, qv = rng.randint(-6, 6), rng.randint(2, 7)
-        got = divisor(decks, (p,), (qv,), ("v", 0), 0)
+        got = abs(divisor_scalar(decks, (p,), (qv,), "v", 0, 0))
         want = abs(lam ** p * mu ** qv - mu)
         assert got == pytest.approx(want, abs=1e-14)
 
@@ -209,16 +204,6 @@ def test_solve_family_resonance_refused():
         solve_family(sys)
 
 
-def test_solve_single_agrees_with_family_on_compatible_data(rng):
-    decks = exact_decks(q=2, d=1)
-    h_vec = (random_series(rng, min_q=2, n_terms=5, trunc_h=20),)
-    F = tuple(apply_operator(decks, h_vec, i, "vertical") for i in range(2))
-    fam = solve_family(CochainSystem(decks, F, "vertical"))
-    for i in range(2):
-        single = solve_single(i, F[i], decks, "vertical")
-        assert single[0].terms == fam[0].terms
-
-
 def test_solve_scaling_equivariance(rng):
     decks = exact_decks(q=1, d=1)
     f = (random_series(rng, min_q=2, n_terms=5, trunc_h=20),)
@@ -249,6 +234,38 @@ def test_cochain_verify_flag(rng):
     assert CochainSystem(decks, F, "vertical").verify()
     broken = (F[0], (F[1][0].add(mono((1,), (2,))),))
     assert not CochainSystem(decks, broken, "vertical").verify()
+
+
+FLOAT_DECKS = DeckLinearData([[cmath.exp(0.7j)], [cmath.exp(2.1j)]],
+                             [[0.5 + 0.1j], [0.3 - 0.2j]])
+
+
+def float_family(rng, scale, bump=0.0):
+    """L_i(h) over CC for a random h at coefficient scale ``scale``; deck 1's
+    vector is then multiplied by 1 + bump."""
+    h = random_series(rng, min_q=2, n_terms=6, trunc_h=20, field=CC).scale(scale)
+    F = [apply_operator(FLOAT_DECKS, (h,), i, "vertical") for i in range(2)]
+    F[1] = (F[1][0].scale(1 + bump),)
+    return CochainSystem(FLOAT_DECKS, F, "vertical")
+
+
+def test_float_compatibility_is_relative_to_coefficient_scale(rng):
+    # at scale 1e6 the rounding residual, about 3e-11, exceeds an absolute 1e-12
+    big = float_family(rng, 1e6)
+    assert big.verify()
+    assert solve_family(big)[0].terms
+    # at scale 1e-14 a 50 % bump leaves a residual, about 8e-16, under it
+    tiny = float_family(rng, 1e-14, bump=0.5)
+    assert not tiny.verify()
+    with pytest.raises(IncompatibleSystem):
+        solve_family(tiny)
+
+
+def test_all_zero_float_family_is_compatible():
+    zero = (FormalSeries.zero(1, 1, 12, 8, CC),)
+    sys = CochainSystem(FLOAT_DECKS, (zero, zero), "vertical")
+    assert sys.verify()
+    assert solve_family(sys)[0].is_zero()
 
 
 def test_scan_full_mode_covers_horizontal_targets():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from germlin.divisors import signed_vectors
+from germlin.divisors import compositions, signed_vectors
 from germlin.hopf import (
     ClassifyResult, FlatBundle, HopfError, HopfSpec, NestedCoveringSpec,
     ShilovPiece, TransitionGraph, build_covering, classify_hopf,
@@ -220,6 +220,66 @@ def test_vanishing_zhou2_cone_cases():
     assert not rep2.criterion_holds and rep2.witness == (2, 0)
     bundle3 = FlatBundle(qc(3, 8), a)
     assert vanishing_predicate(bundle3, spec, "zhou2", 8).criterion_holds
+
+
+def _vanishing_plain(bundle, spec, variant, exp_bound):
+    """vanishing_predicate's witness search as plain loops: every exponent
+    in its order, no log-modulus prefilter."""
+    alpha, a = spec.alpha, spec.torsion and spec.torsion[1]
+    if variant == "classical":
+        alpha, candidates = alpha[:1], [(k,) for k in range(-exp_bound, exp_bound + 1)]
+    elif variant == "zhou1":
+        alpha, candidates = alpha[:1], [(r,) for r in range(exp_bound + 1)]
+    else:
+        candidates = [v for total in range(exp_bound + 1)
+                      for v in sorted(compositions(total, spec.n))]
+    for v in candidates:
+        if _approx_eq(_power_product(alpha, v), bundle.beta) and (
+                variant == "classical"
+                or _approx_eq(_power_product([a], [sum(v)]), bundle.d_char)):
+            return v
+    return None
+
+
+@st.composite
+def vanishing_cases(draw):
+    """A classical, zhou1 or zhou2 spec, exact or float, with a bundle that
+    is free or carries a planted relation, its torsion character matching
+    or not."""
+    variant = draw(st.sampled_from(["classical", "zhou1", "zhou2"]))
+    exact = draw(st.booleans())
+    n = draw(st.sampled_from([2, 3]))
+
+    def value():
+        re = Fraction(draw(st.integers(-90, 90)), 100)
+        im = Fraction(draw(st.integers(-90, 90)), 100)
+        assume(0 < re * re + im * im < 1)
+        return QC(re, im) if exact else complex(re, im)
+
+    alpha = [value()] * n if variant != "zhou2" else sorted(
+        (value() for _ in range(n)), key=lambda x: abs(as_complex(x)))
+    root = draw(st.sampled_from([QC(1), QC(-1), QC(0, 1), QC(0, -1)]))
+    root = root if exact else root.to_complex()
+    exp_bound = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        width = 1 if variant != "zhou2" else n
+        low = -exp_bound - 1 if variant == "classical" else 0
+        v = draw(st.lists(st.integers(low, exp_bound + 1), min_size=width, max_size=width))
+        beta = _power_product(alpha, v)
+        d_char = root ** sum(v) if draw(st.booleans()) else root
+    else:
+        beta, d_char = value(), root
+    torsion = None if variant == "classical" else (4, root)
+    return FlatBundle(beta, d_char), HopfSpec(tuple(alpha), torsion=torsion), variant, exp_bound
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(vanishing_cases())
+def test_vanishing_witness_equals_plain_enumeration(case):
+    bundle, spec, variant, exp_bound = case
+    rep = vanishing_predicate(bundle, spec, variant, exp_bound)
+    assert rep.witness == _vanishing_plain(bundle, spec, variant, exp_bound)
+    assert rep.criterion_holds == (rep.witness is None)
 
 
 def test_vanishing_variant_mismatch():

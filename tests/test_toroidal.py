@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from germlin.toroidal import (
-    DeckLinearData, DomainSpec, GeometryError, Kappa0Result, LatticeBasis,
+    DeckLinearData, GeometryError, Kappa0Result, LatticeBasis,
     ToroidalSpec, convex_extension_eta, deck_consistency_residual,
-    deck_linear_parts, domain_membership,
-    kappa0_estimate, kappa0_grid_check, point_from_w,
+    deck_linear_parts,
+    kappa0_estimate, kappa0_grid_check,
     shear_to_standard, validate_irrationality,
 )
 
@@ -127,62 +127,6 @@ def test_deck_linear_parts_zero_and_real_tau():
     lam_real_tau = decks.lam[0][1]
     assert abs(lam_real_tau) == pytest.approx(1.0)
     assert cmath.phase(lam_real_tau) % (2 * math.pi) == pytest.approx(2 * math.pi * 0.3)
-
-
-# ----------------------------------------------------------------------
-# domain membership
-
-
-def test_origin_image_is_member():
-    spec = basic_spec()
-    dom = DomainSpec(epsilon=0.2, rcap=1.0)
-    assert domain_membership([1.0, 1.0], spec, dom)
-
-
-def test_slab_overflow_is_outside():
-    spec = basic_spec()
-    eps = 0.2
-    dom = DomainSpec(epsilon=eps, rcap=1.0)
-    w = np.zeros(4)
-    w[2] = 1 + 2 * eps  # slab coordinate beyond (-eps, 1+eps)
-    assert not domain_membership(point_from_w(w, spec), spec, dom)
-
-
-def test_membership_roundtrip_random():
-    spec = basic_spec()
-    eps, rcap = 0.3, 0.8
-    dom = DomainSpec(epsilon=eps, rcap=rcap)
-    rng = random.Random(11)
-    for _ in range(100):
-        w = np.array([rng.uniform(0, 1), rng.uniform(0, 1),
-                      rng.uniform(-eps + 0.01, 1 + eps - 0.01),
-                      rng.uniform(-rcap + 0.01, rcap - 0.01)])
-        assert domain_membership(point_from_w(w, spec), spec, dom)
-    for _ in range(100):
-        w = np.array([rng.uniform(0, 1), rng.uniform(0, 1),
-                      rng.uniform(-eps + 0.01, 1 + eps - 0.01),
-                      rng.uniform(-rcap + 0.01, rcap - 0.01)])
-        if rng.random() < 0.5:
-            w[2] = rng.choice([-eps - 0.05, 1 + eps + 0.05])
-        else:
-            w[3] = rng.choice([-rcap - 0.05, rcap + 0.05])
-        assert not domain_membership(point_from_w(w, spec), spec, dom)
-
-
-def test_membership_reinhardt_invariance():
-    spec = basic_spec()
-    dom = DomainSpec(epsilon=0.25, rcap=0.9)
-    rng = random.Random(13)
-    for _ in range(20):
-        w = np.array([rng.uniform(0, 1), rng.uniform(0, 1),
-                      rng.uniform(-1, 2), rng.uniform(-2, 2)])
-        pt = point_from_w(w, spec)
-        verdict = domain_membership(pt, spec, dom)
-        theta = rng.uniform(0, 2 * math.pi)
-        idx = rng.randrange(2)
-        rotated = list(pt)
-        rotated[idx] *= cmath.exp(1j * theta)
-        assert domain_membership(rotated, spec, dom) == verdict
 
 
 # ----------------------------------------------------------------------
