@@ -1,12 +1,13 @@
 """Small-divisor scans and the coefficientwise solution of the deck
 cohomological equations.
 
-The forward operators act on series vectors by
+The operators act on series vectors by
 ``L_i(G) = G o tauhat_i - (linear part) G``; on a key (P, Q) and component
 k this multiplies the coefficient by the divisor
 ``lam_l^P mu_l^Q - eigen_{l,k}`` (eigen = mu for vertical components, lam
 for horizontal ones).  Inverting the operator divides by those values, so
-everything here revolves around how small they get.
+everything here revolves around how small they get.  The inverse decks
+are one more deck system, ``DeckLinearData.inverted()``.
 """
 
 from __future__ import annotations
@@ -36,26 +37,18 @@ class IncompatibleSystem(DivisorError):
     """The cochain family fails the pairwise compatibility identity."""
 
 
-def _eigen(decks: DeckLinearData, kind: str, comp: int, l: int,
-           direction: str = "forward"):
-    lam, mu = decks.linear_factors(l, direction)
+def _eigen(decks: DeckLinearData, kind: str, comp: int, l: int):
     if kind == "v":
-        return mu[comp]
+        return decks.mu[l][comp]
     if kind == "h":
-        return lam[comp]
+        return decks.lam[l][comp]
     raise DivisorError(f"unknown divisor target kind {kind!r}")
 
 
 def divisor_scalar(decks: DeckLinearData, p: Sequence[int], q: Sequence[int],
-                   kind: str, comp: int, l: int, direction: str = "forward"):
-    """The exact divisor value lam_l^P mu_l^Q - eigen (inverse variant uses
-    the inverted linear parts)."""
-    if direction == "inverse":
-        p, q = [-x for x in p], [-x for x in q]
-    elif direction != "forward":
-        raise DivisorError(f"unknown direction {direction!r}")
-    return (decks.lam_pow(l, p) * decks.mu_pow(l, q)
-            - _eigen(decks, kind, comp, l, direction))
+                   kind: str, comp: int, l: int):
+    """The exact divisor value lam_l^P mu_l^Q - eigen."""
+    return decks.lam_pow(l, p) * decks.mu_pow(l, q) - _eigen(decks, kind, comp, l)
 
 
 def _is_zero_divisor(value, decks: DeckLinearData, l: int, p, q) -> bool:
@@ -65,16 +58,15 @@ def _is_zero_divisor(value, decks: DeckLinearData, l: int, p, q) -> bool:
         1.0 + abs(decks.lam_pow(l, p) * decks.mu_pow(l, q))))
 
 
-def max_divisor(decks: DeckLinearData, p, q, kind: str, comp: int,
-                direction: str = "forward", monomials=None):
+def max_divisor(decks: DeckLinearData, p, q, kind: str, comp: int, monomials=None):
     """(best deck index, divisor scalar) maximizing the modulus; ties go to
-    the smallest index.  ``monomials[l]``, when given, is the forward
-    lam_l^P mu_l^Q already read from the decks' table."""
+    the smallest index.  ``monomials[l]``, when given, is lam_l^P mu_l^Q
+    already read from the decks' table."""
     best_l, best_val, best_mag = 0, None, None
     abs2 = decks.field.abs2
     for l in range(decks.q):
         if monomials is None:
-            val = divisor_scalar(decks, p, q, kind, comp, l, direction)
+            val = divisor_scalar(decks, p, q, kind, comp, l)
         else:
             val = monomials[l] - _eigen(decks, kind, comp, l)
         mag = abs2(val)
@@ -233,7 +225,6 @@ class CochainSystem:
     decks: DeckLinearData
     F: tuple[tuple[FormalSeries, ...], ...]
     kind: str = "vertical"            # vertical | full
-    direction: str = "forward"        # forward | inverse
 
     def __post_init__(self):
         object.__setattr__(self, "F", tuple(tuple(v) for v in self.F))
@@ -248,8 +239,6 @@ class CochainSystem:
                     raise DivisorError("series field differs from deck field")
                 if not s.is_zero() and s.v_order() < 2:
                     raise DivisorError("cochain components must have v-order >= 2")
-        if self.direction not in ("forward", "inverse"):
-            raise DivisorError(f"unknown direction {self.direction!r}")
 
     @property
     def ncomp(self) -> int:
@@ -280,14 +269,13 @@ def component_target(decks: DeckLinearData, kind: str, k: int) -> tuple[str, int
 
 
 def apply_operator(decks: DeckLinearData, vec: Sequence[FormalSeries], i: int,
-                   kind: str, direction: str = "forward") -> tuple[FormalSeries, ...]:
-    """L_i (or L_{-i}) applied to a series vector."""
-    lam_f, mu_f = decks.linear_factors(i, direction)
+                   kind: str) -> tuple[FormalSeries, ...]:
+    """L_i applied to a series vector."""
     out = []
     for k, comp in enumerate(vec):
         tkind, tcomp = component_target(decks, kind, k)
-        eig = _eigen(decks, tkind, tcomp, i, direction)
-        composed = comp.compose_linear(lam_f, mu_f)
+        eig = _eigen(decks, tkind, tcomp, i)
+        composed = comp.compose_linear(decks.lam[i], decks.mu[i])
         out.append(composed.sub(comp.scale(eig)))
     return tuple(out)
 
@@ -297,8 +285,8 @@ def compatibility_residual(sys: CochainSystem) -> float:
     worst = 0.0
     for i in range(sys.decks.q):
         for j in range(i + 1, sys.decks.q):
-            left = apply_operator(sys.decks, sys.F[j], i, sys.kind, sys.direction)
-            right = apply_operator(sys.decks, sys.F[i], j, sys.kind, sys.direction)
+            left = apply_operator(sys.decks, sys.F[j], i, sys.kind)
+            right = apply_operator(sys.decks, sys.F[i], j, sys.kind)
             for a, b in zip(left, right):
                 worst = max(worst, a.sub(b).max_abs())
     return worst
@@ -348,7 +336,7 @@ def solve_family(sys: CochainSystem, report: DiophantineReport | None = None) ->
         for i in range(decks.q):
             keys.update(sys.F[i][k].terms)
         for key in keys:
-            l, val = max_divisor(decks, key.P, key.Q, tkind, tcomp, sys.direction)
+            l, val = max_divisor(decks, key.P, key.Q, tkind, tcomp)
             coeff = sys.F[l][k].terms.get(key)
             if coeff is None:
                 continue

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .scalars import CC, QQI, as_complex, field_of
+from .scalars import CC, QQI, as_complex, field_of, json_int
 from .divisors import compositions, signed_vectors
 
 if TYPE_CHECKING:
@@ -120,7 +120,7 @@ class HopfSpec:
         torsion = None
         if data.get("torsion"):
             a = data["torsion"]["a"]
-            torsion = (int(data["torsion"]["m"]), QQI.from_strings(a["re"], a["im"]))
+            torsion = (json_int(data["torsion"], "m"), QQI.from_strings(a["re"], a["im"]))
         return cls(tuple(QQI.from_strings(e["re"], e["im"]) for e in data["alpha"]),
                    tuple(data.get("jordan_overdiag", ())), torsion)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -92,15 +92,13 @@ def vec_compose_linear(vec: Vec, h_factors, v_factors) -> Vec:
 
 @dataclass
 class DeckPerturbation:
-    """Linear deck data plus the order->=2 perturbations, forward and
-    (computed on demand) inverse."""
+    """Linear deck data plus the order->=2 perturbations."""
 
     decks: DeckLinearData
     tau_h: tuple[Vec, ...]      # per deck: n_h components
     tau_v: tuple[Vec, ...]      # per deck: d components
     n_v: int
     n_h_budget: int
-    _inverse: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         q, n_h, d = self.decks.q, self.decks.n_h, self.decks.d
@@ -121,19 +119,15 @@ class DeckPerturbation:
     def stacked(self, i: int) -> Vec:
         return self.tau_h[i] + self.tau_v[i]
 
-    def inverse_parts(self, i: int) -> tuple[Vec, Vec]:
-        """Perturbation of tau_i^{-1} relative to tauhat_i^{-1}."""
-        if i not in self._inverse:
-            sigma = _invert_deck(self, i)
-            self._inverse[i] = (sigma[:self.decks.n_h], sigma[self.decks.n_h:])
-        return self._inverse[i]
-
-    def parts(self, i: int, direction: str) -> tuple[Vec, Vec]:
-        if direction == "forward":
-            return self.tau_h[i], self.tau_v[i]
-        if direction == "inverse":
-            return self.inverse_parts(i)
-        raise LinearizeError(f"unknown direction {direction!r}")
+    def inverted(self) -> "DeckPerturbation":
+        """The inverse decks tau_i^{-1}: linear parts tauhat_i^{-1} and the
+        perturbations of tau_i^{-1} relative to them.  A Phi conjugating
+        the tauhat_i to the tau_i also conjugates their inverses, so both
+        systems have the same solutions."""
+        n_h = self.decks.n_h
+        sigma = [_invert_deck(self, i) for i in range(self.decks.q)]
+        return DeckPerturbation(self.decks.inverted(), tuple(s[:n_h] for s in sigma),
+                                tuple(s[n_h:] for s in sigma), self.n_v, self.n_h_budget)
 
 
 def _invert_deck(pert: DeckPerturbation, i: int) -> Vec:
@@ -144,7 +138,8 @@ def _invert_deck(pert: DeckPerturbation, i: int) -> Vec:
     difference is psi o tauhat^{-1}.  The degree window is that of
     :func:`invert_near_identity`.
     """
-    lam_inv, mu_inv = pert.decks.linear_factors(i, "inverse")
+    inv = pert.decks.field.inv
+    lam_inv, mu_inv = inv(pert.decks.lam[i]), inv(pert.decks.mu[i])
     psi_h, psi_v = invert_near_identity(vec_scale_each(pert.tau_h[i], lam_inv),
                                         vec_scale_each(pert.tau_v[i], mu_inv),
                                         pert.n_v, pert.n_h_budget)
@@ -155,7 +150,7 @@ def compose_decks(pert: DeckPerturbation, i: int, j: int) -> Vec:
     """Perturbation of tau_i o tau_j relative to tauhat_i tauhat_j."""
     decks, n_v, n_h = pert.decks, pert.n_v, pert.n_h_budget
     lam_i, mu_i = decks.lam[i], decks.mu[i]
-    lam_j_inv, mu_j_inv = decks.linear_factors(j, "inverse")
+    lam_j_inv, mu_j_inv = decks.field.inv(decks.lam[j]), decks.field.inv(decks.mu[j])
     star_i, star_j = pert.stacked(i), pert.stacked(j)
     # tauhat_i applied to tau*_j
     lin_part = (vec_scale_each(star_j[:decks.n_h], lam_i)
@@ -318,7 +313,6 @@ class LinearizationResult:
     phi_h: Vec                   # empty tuple in vertical mode
     phi_v: Vec
     residual_per_degree: list[float]
-    direction: str = "forward"
 
     @property
     def max_residual(self) -> float:
@@ -326,14 +320,12 @@ class LinearizationResult:
 
     def to_json_dict(self) -> dict:
         return {"mode": self.mode, "N_v": self.n_v,
-                "direction": self.direction,
                 "residual_per_degree": list(self.residual_per_degree),
                 "phi_h": [series_to_dict(s) for s in self.phi_h],
                 "phi_v": [series_to_dict(s) for s in self.phi_v]}
 
 
-def _rhs(pert: DeckPerturbation, phi: Vec, i: int, kind: str, direction: str,
-         cap: int) -> Vec:
+def _rhs(pert: DeckPerturbation, phi: Vec, i: int, kind: str, cap: int) -> Vec:
     """rhs_i(phi) of L_i(phi) = rhs_i(phi), composed at v-degree ``cap``.
 
     Full mode: tau*_i o (Id + phi).  Vertical mode, where phi holds phi_v
@@ -341,23 +333,20 @@ def _rhs(pert: DeckPerturbation, phi: Vec, i: int, kind: str, direction: str,
     phi_v o tauhat_i under the horizontal shift
     tauhat_i^{-1} tau*_i^h o (Id + (0, phi_v)).
     """
-    n_h = pert.n_h_budget
-    tau_h, tau_v = pert.parts(i, direction)
+    n_h, decks = pert.n_h_budget, pert.decks
+    tau_h, tau_v = pert.tau_h[i], pert.tau_v[i]
     if kind == "full":
-        split = pert.decks.n_h
-        return vec_substitute(tau_h + tau_v, phi[:split], phi[split:], cap, n_h)
-    lam_f, mu_f = pert.decks.linear_factors(i, direction)
+        return vec_substitute(tau_h + tau_v, phi[:decks.n_h], phi[decks.n_h:], cap, n_h)
     term_i = vec_substitute(tau_v, None, phi, cap, n_h)
     shift = vec_substitute(tau_h, None, phi, cap, n_h)
-    psi = vec_compose_linear(phi, lam_f, mu_f)
-    shift_scaled = vec_scale_each(shift, pert.decks.field.inv(lam_f))
+    psi = vec_compose_linear(phi, decks.lam[i], decks.mu[i])
+    shift_scaled = vec_scale_each(shift, decks.field.inv(decks.lam[i]))
     term_ii = vec_sub(vec_substitute(psi, shift_scaled, None, cap, n_h), psi)
     return vec_sub(term_i, term_ii)
 
 
 def _linearize(pert: DeckPerturbation, n_v: int, kind: str,
-               report: DiophantineReport | None,
-               direction: str) -> LinearizationResult:
+               report: DiophantineReport | None) -> LinearizationResult:
     """Solve L_i(phi) = rhs_i(phi) for every deck i, degree by degree: the
     degree-m part of the right-hand side is composed at cap m only, from
     the parts of phi found below m.
@@ -371,34 +360,30 @@ def _linearize(pert: DeckPerturbation, n_v: int, kind: str,
     phi = vec_zero(decks.n_h, decks.d, system_width(decks, kind),
                    pert.n_h_budget, n_v, decks.field)
     for m in range(2, n_v + 1):
-        rhs = tuple(vec_homog(_rhs(pert, phi, i, kind, direction, m), m, n_v)
+        rhs = tuple(vec_homog(_rhs(pert, phi, i, kind, m), m, n_v)
                     for i in range(decks.q))
-        phi = vec_add(phi, solve_family(CochainSystem(decks, rhs, kind, direction),
-                                        report))
+        phi = vec_add(phi, solve_family(CochainSystem(decks, rhs, kind), report))
     split = decks.n_h if kind == "full" else 0
     phi_h, phi_v = phi[:split], phi[split:]
-    residuals = conjugacy_residual(phi_v, pert, n_v, kind, phi_h, direction)
-    return LinearizationResult(kind, n_v, phi_h, phi_v, residuals, direction)
+    residuals = conjugacy_residual(phi_v, pert, n_v, kind, phi_h)
+    return LinearizationResult(kind, n_v, phi_h, phi_v, residuals)
 
 
 def vertical_linearize(pert: DeckPerturbation, n_v: int,
-                       report: DiophantineReport | None = None,
-                       direction: str = "forward") -> LinearizationResult:
+                       report: DiophantineReport | None = None) -> LinearizationResult:
     """phi = (0, phi_v) conjugating the decks to maps with linear vertical
     part."""
-    return _linearize(pert, n_v, "vertical", report, direction)
+    return _linearize(pert, n_v, "vertical", report)
 
 
 def full_linearize(pert: DeckPerturbation, n_v: int,
-                   report: DiophantineReport | None = None,
-                   direction: str = "forward") -> LinearizationResult:
+                   report: DiophantineReport | None = None) -> LinearizationResult:
     """phi = (phi_h, phi_v) conjugating the decks to their linear parts."""
-    return _linearize(pert, n_v, "full", report, direction)
+    return _linearize(pert, n_v, "full", report)
 
 
 def conjugacy_residual(phi_v: Vec, pert: DeckPerturbation, n_v: int,
-                       mode: str, phi_h: Vec = (),
-                       direction: str = "forward") -> list[float]:
+                       mode: str, phi_h: Vec = ()) -> list[float]:
     """Per degree, the max coefficient modulus of L_i(phi) - rhs_i(phi) over
     the decks, with the right-hand side recomposed from the final phi at cap
     ``n_v`` (vertical mode reads phi_v only)."""
@@ -407,8 +392,8 @@ def conjugacy_residual(phi_v: Vec, pert: DeckPerturbation, n_v: int,
     phi = (tuple(phi_h) if mode == "full" else ()) + tuple(phi_v)
     per_degree = [0.0] * (n_v + 1)
     for i in range(pert.decks.q):
-        lhs = apply_operator(pert.decks, phi, i, mode, direction)
-        for comp in vec_sub(lhs, _rhs(pert, phi, i, mode, direction, n_v)):
+        lhs = apply_operator(pert.decks, phi, i, mode)
+        for comp in vec_sub(lhs, _rhs(pert, phi, i, mode, n_v)):
             for key, c in comp.terms.items():
                 if key.q_size <= n_v:
                     per_degree[key.q_size] = max(per_degree[key.q_size], abs(c))
@@ -532,19 +517,14 @@ class MajorantCert:
     log_eta: list[float]
     d_growth: float
     a_seq: list[float]
-    b_seq: dict[str, list[float]]
     constants: dict
 
     def bound(self, m: int) -> float:
         return self.a_seq[m] * self.eta[m]
 
-    def b_bound(self, label: str, m: int) -> float:
-        return self.b_seq[label][m] * self.eta[m]
-
     def to_json_dict(self) -> dict:
         return {"mode": self.mode, "eta": list(self.eta),
                 "D_growth": self.d_growth, "A": list(self.a_seq),
-                "B": {k: list(v) for k, v in self.b_seq.items()},
                 "constants": dict(self.constants)}
 
 
@@ -553,7 +533,8 @@ def majorant_functional_solve(mode: str, constants: dict, m_max: int) -> Majoran
 
     Vertical mode couples A with the translate family B; every B^{+-e_i}
     starts where A starts and follows A's recursion with the coupling
-    A + 2q B, so B = A and the coupling is A + 2q A.
+    A + 2q B, so B = A, the coupling is A + 2q A and the certificate
+    carries A only.
     Full mode solves A = g h with g the weighted powers of (t + A) at
     radius R' and h the same at the interior-distance denominator M; its
     first nonzero coefficient appears at degree 4.  Every computed
@@ -598,10 +579,7 @@ def majorant_functional_solve(mode: str, constants: dict, m_max: int) -> Majoran
         a[m] = rhs[m]
         if a[m] < 0:
             raise MajorantFailure(f"negative majorant coefficient at degree {m}")
-    b_seq = ({f"{sign}e{i}": list(a) for i in range(1, q + 1) for sign in "+-"}
-             if mode == "vertical" else {})
-    return MajorantCert(mode, eta.values, eta.log_values, eta.d_growth,
-                        a, b_seq, dict(constants))
+    return MajorantCert(mode, eta.values, eta.log_values, eta.d_growth, a, dict(constants))
 
 
 # ----------------------------------------------------------------------
@@ -629,14 +607,15 @@ def grid_ladder(base: GridSpec, m_max: int, eta_over_kappa: float = 0.25) -> lis
 class DominationReport(NamedTuple):
     passed: bool
     first_fail: int | None
-    rows: list   # (degree, sup, bound) plus B rows in vertical mode
+    rows: list   # (degree, sup, bound, grid label), translate rows in vertical mode
 
 
 def certify_domination(result: LinearizationResult, cert: MajorantCert,
                        grids: Sequence[GridSpec],
                        decks: DeckLinearData | None = None) -> DominationReport:
     """Check sup |[phi]_m| <= A_m eta_m on the m-th ladder grid for each
-    degree (and the B bounds on deck-translated grids in vertical mode)."""
+    degree (and, in vertical mode, on its deck-translated grids against the
+    same bound, since B = A)."""
     rows = []
     first_fail = None
     comps = tuple(result.phi_h) + tuple(result.phi_v)
@@ -649,16 +628,15 @@ def certify_domination(result: LinearizationResult, cert: MajorantCert,
         rows.append((m, sup, bound, "A"))
         if not ok and first_fail is None:
             first_fail = m
-        if cert.mode == "vertical" and decks is not None and cert.b_seq:
+        if cert.mode == "vertical" and decks is not None:
             for i in range(decks.q):
                 for sign, label in ((1, f"+e{i+1}"), (-1, f"-e{i+1}")):
                     factors = [abs(as_complex(x)) ** sign for x in decks.lam[i]]
                     shifted = grids[m].scaled(factors)
                     sup_b = max((grid_sup_norm(c.homogeneous_part(m), shifted)
                                  for c in comps), default=0.0)
-                    bound_b = cert.b_bound(label, m)
-                    rows.append((m, sup_b, bound_b, label))
-                    if sup_b > bound_b and first_fail is None:
+                    rows.append((m, sup_b, bound, label))
+                    if sup_b > bound and first_fail is None:
                         first_fail = m
     return DominationReport(first_fail is None, first_fail, rows)
 

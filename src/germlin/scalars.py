@@ -21,7 +21,8 @@ Rational = Union[int, Fraction]
 # float coefficients below FLOAT_CLEAN_REL * (largest coefficient) are
 # treated as accumulated noise and dropped
 FLOAT_CLEAN_REL = 1e-14
-# a float coefficient beyond the Laurent budget above this modulus overflows
+# a float coefficient beyond the Laurent budget overflows unless its modulus
+# is below FLOAT_OVERFLOW_TOL times the largest coefficient of its series
 FLOAT_OVERFLOW_TOL = 1e-13
 
 
@@ -156,8 +157,8 @@ class _Field:
     """``name``, ``zero``, ``one``; ``from_strings``/``to_strings``, the
     (re, im) digit-string codec; ``coerce`` of a QC into the field; ``admits``
     a series scaling factor; ``abs2``; and the zero tests: ``is_zero(x, tol)``
-    (strict, ``tol()`` is called only over CC), ``overflows(c)`` for a
-    coefficient past the Laurent budget and ``prune(terms)`` of a series."""
+    (strict, ``tol()`` is called only over CC) and ``prune(terms)`` of a
+    series."""
 
     __slots__ = ()
 
@@ -185,9 +186,6 @@ class _GaussianRationals(_Field):
     def is_zero(self, x, tol) -> bool:
         return not x
 
-    def overflows(self, c) -> bool:
-        return bool(c)
-
     def prune(self, terms: dict):
         for k in [k for k, c in terms.items() if not c]:
             del terms[k]
@@ -214,9 +212,6 @@ class _ComplexFloats(_Field):
     def is_zero(self, x, tol) -> bool:
         return abs(x) < tol()
 
-    def overflows(self, c) -> bool:
-        return abs(c) > FLOAT_OVERFLOW_TOL
-
     def prune(self, terms: dict):
         """Drop coefficients at or below FLOAT_CLEAN_REL times the largest."""
         if not terms:
@@ -229,6 +224,15 @@ class _ComplexFloats(_Field):
 QQI = _GaussianRationals()
 CC = _ComplexFloats()
 FIELDS = {QQI.name: QQI, CC.name: CC}
+
+
+def json_int(data: dict, name: str) -> int:
+    """``data[name]``, which must be a JSON integer: not a float, a string or
+    a bool."""
+    x = data[name]
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"field {name!r} must be a JSON integer, got {x!r}")
+    return x
 
 
 def field_of(values):

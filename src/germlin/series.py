@@ -16,7 +16,7 @@ import math
 from operator import add as _add
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .scalars import FIELDS, QQI, as_complex
+from .scalars import FIELDS, FLOAT_OVERFLOW_TOL, QQI, as_complex
 
 if TYPE_CHECKING:
     import numpy as np
@@ -318,17 +318,17 @@ class FormalSeries:
 
 
 def _filter_caps(acc: Mapping, cap_h: int, cap_v: int, field) -> dict:
-    out = {}
-    for key, c in acc.items():
-        if key.q_size > cap_v:
-            continue
-        if key.p_size > cap_h:
-            if field.overflows(c):
-                raise TruncationOverflow(
-                    f"nonzero coefficient at |P|={key.p_size} exceeds Laurent "
-                    f"budget {cap_h}")
-            continue
-        out[key] = c
+    """acc without its keys past cap_v; the keys past cap_h must hold zeros,
+    over CC moduli below FLOAT_OVERFLOW_TOL times the largest under cap_v."""
+    out = {key: c for key, c in acc.items() if key.q_size <= cap_v}
+    over = [key for key in out if key.p_size > cap_h]
+    if over:
+        worst = max(over, key=lambda k: field.abs2(out[k]))
+        if not field.is_zero(out[worst], lambda: FLOAT_OVERFLOW_TOL * max(map(abs, out.values()))):
+            raise TruncationOverflow(f"nonzero coefficient at |P|={worst.p_size} "
+                                     f"exceeds Laurent budget {cap_h}")
+        for key in over:
+            del out[key]
     return out
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .scalars import CC, as_complex, field_of
+from .scalars import CC, as_complex, field_of, json_int
 
 if TYPE_CHECKING:
     import numpy as np
@@ -119,9 +119,8 @@ class ToroidalSpec:
         def cplx_m(rows):
             return [[CC.from_strings(e["re"], e["im"]) for e in row] for row in rows]
 
-        return cls(int(data["n"]), int(data["a"]), int(data["b"]),
-                   int(data["q"]), real_m(data["R1"]), real_m(data["R2"]),
-                   cplx_m(data["R3"]), cplx_m(data["P0"]), cplx_m(data["P1"]))
+        return cls(*(json_int(data, k) for k in "nabq"), real_m(data["R1"]),
+                   real_m(data["R2"]), *(cplx_m(data[k]) for k in ("R3", "P0", "P1")))
 
 
 class LatticeBasis(NamedTuple):
@@ -248,10 +247,10 @@ class DeckLinearData:
     def mu_pow(self, l: int, q_exp: Sequence[int]):
         return self._pow(self.mu, l, q_exp)
 
-    def linear_factors(self, l: int, direction: str = "forward"):
-        """(lam_l, mu_l), or for the inverse deck their reciprocals."""
-        rows = self.lam[l], self.mu[l]
-        return rows if direction == "forward" else tuple(map(self.field.inv, rows))
+    def inverted(self) -> "DeckLinearData":
+        """The linear parts of the inverse decks: every entry's reciprocal."""
+        inv = self.field.inv
+        return DeckLinearData([inv(row) for row in self.lam], [inv(row) for row in self.mu])
 
     def __repr__(self):
         return f"DeckLinearData(q={self.q}, n_h={self.n_h}, d={self.d}, field={self.field.name})"

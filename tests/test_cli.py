@@ -462,6 +462,24 @@ def test_malformed_input_file_is_input_error(tmp_path, capsys, command, name, da
     assert capsys.readouterr().err.startswith(f"input error: input {name} is malformed")
 
 
+@pytest.mark.parametrize("command, data, field", [
+    # int() read 1.9 as q = 1 and "2" as n = 2, and the run exited 0
+    pytest.param("toroidal-validate", {**toroidal_spec_json(), "q": 1.9}, "q",
+                 id="toroidal-q-float"),
+    pytest.param("toroidal-validate", {**toroidal_spec_json(), "n": "2"}, "n",
+                 id="toroidal-n-string"),
+    pytest.param("hopf-classify", {**hopf_spec_json(), "torsion": {
+        "m": 2.0, "a": {"re": "-1", "im": "0"}}}, "m", id="hopf-torsion-m-float"),
+    pytest.param("hopf-classify", {**hopf_spec_json(), "torsion": {
+        "m": True, "a": {"re": "1", "im": "0"}}}, "m", id="hopf-torsion-m-bool"),
+])
+def test_integer_field_of_input_file_must_be_json_integer(tmp_path, capsys, command, data, field):
+    write(tmp_path / "spec.json", data)
+    cfg = write(tmp_path / "cfg.json", {"command": command, "inputs": {"spec": "spec.json"}})
+    assert main(["--config", cfg]) == 2
+    assert f"field {field!r} must be a JSON integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("params, message", [
     # "empty range for randrange()" and "key beyond vertical truncation"
     ({"d": 0}, "params.d must be finite in [1, inf], got 0"),

@@ -86,6 +86,18 @@ def test_float_cleanup_drops_relative_noise():
     assert len(f.terms) == 1
 
 
+def test_float_overflow_tolerance_is_relative():
+    # an absolute 1e-13 raised on 1e-9 beside 1e6, though 1e-9 is below the
+    # prune floor, and silently dropped a coefficient at scale 1e-14
+    def mono(p, c, trunc_h):
+        return FormalSeries.monomial(1, 1, (p,), (2,), c + 0j, trunc_h, 8, field=CC)
+
+    out = mono(0, 1e6, 1).add(mono(2, 1e-9, 2))
+    assert list(out.terms) == [((0,), (2,))]
+    with pytest.raises(TruncationOverflow):
+        mono(0, 1e-14, 1).add(mono(2, 1e-14, 2))
+
+
 def test_substitute_overflow_raises_on_small_budget():
     # (h + h^2 v^2)^{-1} spreads to h^{k-1} v^{2k}: |P| = 3 at k = 4
     f = FormalSeries.monomial(1, 1, (-1,), (0,), QC(1), 4, 8)

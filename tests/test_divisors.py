@@ -220,10 +220,10 @@ def test_forward_inverse_family_consistency(rng):
     decks = exact_decks(q=2, d=1)
     h_vec = (random_series(rng, min_q=2, n_terms=5, trunc_h=24),)
     F_fwd = tuple(apply_operator(decks, h_vec, i, "vertical") for i in range(2))
-    F_inv = tuple(apply_operator(decks, h_vec, i, "vertical", "inverse")
-                  for i in range(2))
-    g1 = solve_family(CochainSystem(decks, F_fwd, "vertical", "forward"))
-    g2 = solve_family(CochainSystem(decks, F_inv, "vertical", "inverse"))
+    inverse = decks.inverted()
+    F_inv = tuple(apply_operator(inverse, h_vec, i, "vertical") for i in range(2))
+    g1 = solve_family(CochainSystem(decks, F_fwd, "vertical"))
+    g2 = solve_family(CochainSystem(inverse, F_inv, "vertical"))
     assert g1[0].terms == g2[0].terms == h_vec[0].terms
 
 

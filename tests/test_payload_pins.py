@@ -94,18 +94,18 @@ CONFIGS = {
 }
 
 PINS = {
-    "certify-111": "530af14607dd21c98d608c1de7ef021192a7443da9993cfbb8d1b27fc630c231",
-    "certify-112": "1de53a55f6a8b7590f36afd6c927d509bfeb67542abd481b1cfb5424b3126c32",
+    "certify-111": "79737e76406bff76915ada70dea389a79afbaab893946b2e9e967ad72dffb829",
+    "certify-112": "30177a3eba66904d29105b60cb8b406e8e081815297130c44680c5fa0a107187",
     "dioph-scan-full": "4aa93228091f4d456fdbaf37a27fb49b780d85429e0f49449b691e07eceb119b",
     "dioph-scan-resonant": "4350a9d93f734b34b197503364f34bc597b56077b7b4e8cf5f3265ba804cc4ef",
     "dioph-scan-two-decks": "8674acfa8083da0dfc510465c10aebabe363f1542d17a9d5300d7857c98b3daa",
     "dioph-scan-two-decks-float": "980a385c17d1f827036195de2819d4d6d3b2e05a8fc1ef4e5e7e0a2a2aabc5d9",
     "hopf-classify": "9bb1a5a6b0113704558d8ab10fd12f5f562c800efbd04f72202a9cec9b6773ef",
-    "linearize-full-111": "a6ecd4937106ae91a81a29a9e37a2789273d09398e23576f873413935e7cb753",
-    "linearize-full-122": "43f9938f2f3f9dc16683bfe497b6ce0348e9423f73005bce103c132f4f40f2f8",
-    "linearize-full-211": "138c19a144d411e211b8ae42f738afd55b9e1886659914458112c7af16a92990",
-    "linearize-vertical-112": "cc4520dbe191427decf5e85bcb1000d2fe89e68ec0e774e05d8dc7bcd83f1c22",
-    "linearize-vertical-211": "dffddcf337f7fe18a2ecebe37c54e740fb055db9bf195f7d0782533e90247ac4",
+    "linearize-full-111": "f8f5db386be4330a5f20592585523c81ae39354a693bc1611cd7d922138890b9",
+    "linearize-full-122": "20469919190887510a14af944804d93848b0410708855df49ba64e920ebf12f3",
+    "linearize-full-211": "1a4ad8802e68b7ac7456d595600d463be0d53c9f010e7e654aed56d8befb59de",
+    "linearize-vertical-112": "e1b05a1bf9615513910f40fb7f09b97601629b4b67d22d63fd442dbd92ae32d0",
+    "linearize-vertical-211": "5acab75c4e9004d6eb3ecf976f3596a94aa8b63b04e3e580d520cb1510943860",
     "toroidal-validate-q1": "b524dd391bc4b4bc670262b82359c7fe33bdba7efb173ce17a4a0f7af52f03e9",
     "toroidal-validate-q2-rational": "85b656c672487c6fdaa9fd4ed3c9947fd61f907b05fd869a4aa74e37c787d85e",
 }
