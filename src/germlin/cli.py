@@ -129,13 +129,14 @@ def load_config(path: str, overrides: dict) -> dict:
 
 
 def _decode(config: dict, name: str, decoder, *args):
-    """Input ``name`` read and decoded; a file of the wrong shape is an input
-    error that names the input."""
+    """Input ``name`` read and decoded; a file of the wrong shape or with an
+    unreadable number (``"x"``, ``"1/0"``, ``1e400``) is an input error that
+    names the input."""
     with open(config["inputs"][name], "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
         return decoder(data, *args)
-    except (TypeError, AttributeError, KeyError) as exc:
+    except (TypeError, AttributeError, KeyError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"input {name} is malformed: {type(exc).__name__}: {exc}") from None
 
 

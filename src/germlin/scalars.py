@@ -2,21 +2,21 @@
 
 Coefficients, deck eigenvalues and divisors live in one of two fields:
 :data:`QQI`, the Gaussian rationals Q(i) with :class:`QC` elements
-(``Fraction`` parts, so equality is decidable and every zero test is
-exact), or :data:`CC`, the builtin ``complex`` floats, where each zero test
-compares a modulus with its own tolerance.  A field's ``name`` is the
-``"mode"`` of configs and series payloads.  The series and solver code does
-its arithmetic through the protocol ``QC`` and ``complex`` share, and asks
-the field for its constants, conversions, string codec and zero tests.
+(integers over one common denominator, so equality is decidable and every
+zero test is exact), or :data:`CC`, the builtin ``complex`` floats, where
+each zero test compares a modulus with its own tolerance.  A field's
+``name`` is the ``"mode"`` of configs and series payloads.  The series and
+solver code does its arithmetic through the protocol ``QC`` and ``complex``
+share, and asks the field for its constants, conversions, string codec and
+zero tests.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
-
-Rational = Union[int, Fraction]
+from functools import wraps
+from math import gcd
 
 # float coefficients below FLOAT_CLEAN_REL * (largest coefficient) are
 # treated as accumulated noise and dropped
@@ -26,70 +26,99 @@ FLOAT_CLEAN_REL = 1e-14
 FLOAT_OVERFLOW_TOL = 1e-13
 
 
+def _operand(op):
+    """The binary operator that calls ``op(self, a, b, d)`` with the integers
+    (a + b i) / d of its other operand, a QC, an int or a Fraction, and
+    returns NotImplemented for any other type."""
+    @wraps(op)
+    def method(self, other):
+        if other.__class__ is QC:
+            return op(self, other.a, other.b, other.d)
+        if isinstance(other, int):
+            return op(self, other, 0, 1)
+        if isinstance(other, Fraction):
+            return op(self, other.numerator, 0, other.denominator)
+        return NotImplemented
+    return method
+
+
 class QC:
-    """A complex number with exact rational real and imaginary parts."""
+    """A Gaussian rational (a + b i) / d held as three integers, with d > 0
+    and gcd(a, b, d) = 1.  That form is unique, so ``==`` compares the
+    integers; ``re`` and ``im`` read the parts as ``Fraction``.  Built from
+    ints, ``Fraction``s or anything ``Fraction()`` reads."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
-    def __init__(self, re: Rational = 0, im: Rational = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+    def __init__(self, re=0, im=0):
+        if re.__class__ is int and im.__class__ is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            # over the lcm of two reduced denominators, gcd(a, b, d) is 1
+            d = math.lcm(re.denominator, im.denominator)
+            a, b = re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QC is immutable")
 
+    re = property(lambda self: Fraction(self.a, self.d))
+    im = property(lambda self: Fraction(self.b, self.d))
+
     @classmethod
     def parse(cls, re: str, im: str = "0") -> "QC":
         """Build from digit strings; accepts both '0.25' and '1/4'."""
-        return cls(Fraction(re), Fraction(im))
+        return cls(re, im)
 
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QC(self.re + other.re, self.im + other.im)
+    @_operand
+    def __add__(self, a, b, d):
+        e = self.d
+        if d == e:
+            return _reduced(self.a + a, self.b + b, d)
+        return _reduced(self.a * d + a * e, self.b * d + b * e, e * d)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QC(self.re - other.re, self.im - other.im)
+    @_operand
+    def __sub__(self, a, b, d):
+        e = self.d
+        if d == e:
+            return _reduced(self.a - a, self.b - b, d)
+        return _reduced(self.a * d - a * e, self.b * d - b * e, e * d)
 
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+    @_operand
+    def __rsub__(self, a, b, d):
+        return _qc(a, b, d) - self
 
     def __neg__(self):
-        return QC(-self.re, -self.im)
+        return _qc(-self.a, -self.b, self.d)
 
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QC(self.re * other.re - self.im * other.im,
-                  self.re * other.im + self.im * other.re)
+    @_operand
+    def __mul__(self, a, b, d):
+        if b == 0 and d == 1:
+            # an integer factor, such as substitute_shift's binomials,
+            # can only cancel against the denominator
+            g = gcd(a, self.d)
+            a //= g
+            return _qc(self.a * a, self.b * a, self.d // g)
+        return _reduced(self.a * a - self.b * b, self.a * b + self.b * a, self.d * d)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d = other.abs2()
-        if d == 0:
+    @_operand
+    def __truediv__(self, a, b, d):
+        n = a * a + b * b
+        if not n:
             raise ZeroDivisionError("division by zero QC")
-        return QC((self.re * other.re + self.im * other.im) / d,
-                  (self.im * other.re - self.re * other.im) / d)
+        return _reduced((self.a * a + self.b * b) * d, (self.b * a - self.a * b) * d,
+                        self.d * n)
 
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
+    @_operand
+    def __rtruediv__(self, a, b, d):
+        return _qc(a, b, d) / self
 
     def __pow__(self, n: int) -> "QC":
         if not isinstance(n, int):
@@ -106,40 +135,53 @@ class QC:
         return out
 
     def conjugate(self) -> "QC":
-        return QC(self.re, -self.im)
+        return _qc(self.a, -self.b, self.d)
 
     def abs2(self) -> Fraction:
         """Exact squared modulus."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def __abs__(self) -> float:
-        return math.sqrt(float(self.abs2()))
+        # int true division is correctly rounded, so this is float(abs2())
+        return math.sqrt((self.a * self.a + self.b * self.b) / (self.d * self.d))
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b)
 
-    def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+    @_operand
+    def __eq__(self, a, b, d) -> bool:
+        return self.a == a and self.b == b and self.d == d
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def to_complex(self) -> complex:
-        return complex(self.re, self.im)
+        # the same floats as complex(self.re, self.im)
+        return complex(self.a / self.d, self.b / self.d)
 
     def __repr__(self):
         return f"QC({self.re!r}, {self.im!r})"
 
 
-def _coerce(value):
-    if isinstance(value, QC):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return QC(value)
-    return NotImplemented
+_new = object.__new__
+_set_a, _set_b, _set_d = (vars(QC)[name].__set__ for name in QC.__slots__)
+
+
+def _qc(a: int, b: int, d: int) -> QC:
+    """The QC (a + b i) / d of integers already in its reduced form."""
+    out = _new(QC)
+    _set_a(out, a)
+    _set_b(out, b)
+    _set_d(out, d)
+    return out
+
+
+def _reduced(a: int, b: int, d: int) -> QC:
+    """The QC (a + b i) / d of integers with d > 0."""
+    g = gcd(a, b, d)
+    if g == 1:
+        return _qc(a, b, d)
+    return _qc(a // g, b // g, d // g)
 
 
 def as_complex(c) -> complex:

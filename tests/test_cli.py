@@ -452,6 +452,21 @@ def test_malformed_config_is_input_error(tmp_path, capsys, config):
     pytest.param("hopf-precheck", "bundle", {"beta": 5}, id="bundle-beta-int"),
     pytest.param("toroidal-validate", "spec", {**toroidal_spec_json(), "R1": 5},
                  id="toroidal-R1-int"),
+    # an unreadable number exited 2 with Fraction's message alone, naming
+    # neither the input nor the field; "1/0" and Infinity escaped main as
+    # tracebacks, exit 1
+    pytest.param("hopf-classify", "spec", hopf_spec_json((("x", "0"), ("0.53", "0"))),
+                 id="hopf-alpha-re-x"),
+    pytest.param("hopf-classify", "spec", hopf_spec_json((("1/0", "0"), ("0.53", "0"))),
+                 id="hopf-alpha-re-zero-denominator"),
+    pytest.param("dioph-scan", "decks", {"lambda": [[{"re": "3/5", "im": "abc"}]],
+                                         "mu": [[{"re": "1/2", "im": "0"}]]},
+                 id="decks-im-abc"),
+    pytest.param("linearize", "decks", {"lambda": [[{"re": float("inf"), "im": "0"}]],
+                                        "mu": [[{"re": "1/2", "im": "0"}]]},
+                 id="decks-re-infinity"),
+    pytest.param("toroidal-validate", "spec", {**toroidal_spec_json(), "R1": [["abc"]]},
+                 id="toroidal-R1-abc"),
 ])
 def test_malformed_input_file_is_input_error(tmp_path, capsys, command, name, data):
     contract_inputs(tmp_path)
