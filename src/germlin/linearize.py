@@ -15,10 +15,12 @@ adds the horizontal shift of phi_v o tauhat_i.  Both modes solve it degree
 by degree: at degree m the right-hand side is assembled from the parts of
 phi already found at degrees < m, so the whole iteration is a sequence of
 exact divisions in exact mode.  The conjugacy residual is the defect
-L_i(phi) - rhs_i(phi) of that equation, recomposed from the final phi at
-the full cap.  It checks the solve, not the formula for rhs_i, which it
-shares with the solver; a check independent of that formula is ROADMAP
-item 12's.
+L_i(phi) - rhs_i(phi) of that equation at the full cap, L_i of the final
+phi against the solver's composition at degree ``n_v``: phi's degree-``n_v``
+part, missing there, moves rhs_i only above ``n_v``, as d_v tau*_i has
+v-order >= 1, d_h tau*_i and the shift of phi_v o tauhat_i >= 2.  It checks
+the solve, not the formula for rhs_i, which it shares with the solver; a
+check independent of that formula is ROADMAP item 12's.
 """
 
 from __future__ import annotations
@@ -52,11 +54,6 @@ class MajorantFailure(LinearizeError):
 # series-vector helpers
 
 
-def vec_zero(n_h, n_v, ncomp, trunc_h, trunc_v, field) -> Vec:
-    return tuple(FormalSeries.zero(n_h, n_v, trunc_h, trunc_v, field)
-                 for _ in range(ncomp))
-
-
 def vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(x.add(y) for x, y in zip(a, b))
 
@@ -78,12 +75,14 @@ def vec_max_abs(vec: Vec) -> float:
     return max((x.max_abs() for x in vec), default=0.0)
 
 
-def vec_substitute(vec: Vec, phi_h, phi_v, n_v: int, n_h: int) -> Vec:
-    return tuple(substitute_shift(x, phi_h, phi_v, n_v, n_h) for x in vec)
-
-
 def vec_compose_linear(vec: Vec, h_factors, v_factors) -> Vec:
     return tuple(x.compose_linear(h_factors, v_factors) for x in vec)
+
+
+def per_deck(flat: Vec, q: int) -> tuple[Vec, ...]:
+    """The q equal slices of the stacked components of q decks."""
+    width = len(flat) // q
+    return tuple(flat[i * width:(i + 1) * width] for i in range(q))
 
 
 # ----------------------------------------------------------------------
@@ -159,7 +158,7 @@ def compose_decks(pert: DeckPerturbation, i: int, j: int) -> Vec:
     pulled = vec_compose_linear(star_i, decks.lam[j], decks.mu[j])
     shift_h = vec_scale_each(star_j[:decks.n_h], lam_j_inv)
     shift_v = vec_scale_each(star_j[decks.n_h:], mu_j_inv)
-    comp = vec_substitute(pulled, shift_h, shift_v, n_v, n_h)
+    comp = substitute_shift(pulled, shift_h, shift_v, n_v, n_h)
     return vec_add(lin_part, comp)
 
 
@@ -244,7 +243,7 @@ def invert_near_identity(phi_h: Vec, phi_v: Vec, n_v: int, n_h: int) -> tuple[Ve
     psi = tuple(s.like() for s in phi)
     for cap in range(2, n_v + 1) or (n_v,):
         psi = tuple(c.neg() for c in
-                    vec_substitute(phi, psi[:n_hc], psi[n_hc:], cap, n_h))
+                    substitute_shift(phi, psi[:n_hc], psi[n_hc:], cap, n_h))
     return psi[:n_hc], psi[n_hc:]
 
 
@@ -253,18 +252,15 @@ def conjugate_linear_decks(decks: DeckLinearData, phi0_h: Vec, phi0_v: Vec,
     """Decks Phi0 o tauhat_i o Phi0^{-1}, truncated; they commute pairwise
     at truncation by construction."""
     psi_h, psi_v = invert_near_identity(phi0_h, phi0_v, n_v, n_h_budget)
-    tau_h, tau_v = [], []
-    for i in range(decks.q):
-        lam, mu = decks.lam[i], decks.mu[i]
-        w_h = vec_scale_each(psi_h, lam)
-        w_v = vec_scale_each(psi_v, mu)
-        rho_h = vec_compose_linear(phi0_h, lam, mu)
-        rho_v = vec_compose_linear(phi0_v, lam, mu)
-        outer_h = vec_substitute(rho_h, psi_h, psi_v, n_v, n_h_budget)
-        outer_v = vec_substitute(rho_v, psi_h, psi_v, n_v, n_h_budget)
-        tau_h.append(vec_add(w_h, outer_h))
-        tau_v.append(vec_add(w_v, outer_v))
-    return DeckPerturbation(decks, tuple(tau_h), tuple(tau_v), n_v, n_h_budget)
+    # rho_i = phi0 o tauhat_i for every deck, all composed with psi at once
+    rho = [s for lam, mu in zip(decks.lam, decks.mu)
+           for s in vec_compose_linear(phi0_h + phi0_v, lam, mu)]
+    outer = per_deck(substitute_shift(rho, psi_h, psi_v, n_v, n_h_budget), decks.q)
+    tau_h = tuple(vec_add(vec_scale_each(psi_h, lam), out[:decks.n_h])
+                  for lam, out in zip(decks.lam, outer))
+    tau_v = tuple(vec_add(vec_scale_each(psi_v, mu), out[decks.n_h:])
+                  for mu, out in zip(decks.mu, outer))
+    return DeckPerturbation(decks, tau_h, tau_v, n_v, n_h_budget)
 
 
 def generate_commuting_decks(seed: int, dims: tuple[int, int, int], n_v: int,
@@ -325,31 +321,38 @@ class LinearizationResult:
                 "phi_v": [series_to_dict(s) for s in self.phi_v]}
 
 
-def _rhs(pert: DeckPerturbation, phi: Vec, i: int, kind: str, cap: int) -> Vec:
-    """rhs_i(phi) of L_i(phi) = rhs_i(phi), composed at v-degree ``cap``.
+def _rhs(pert: DeckPerturbation, phi: Vec, kind: str, cap: int) -> tuple[Vec, ...]:
+    """rhs_i(phi) of L_i(phi) = rhs_i(phi) for every deck i, composed at
+    v-degree ``cap``.
 
     Full mode: tau*_i o (Id + phi).  Vertical mode, where phi holds phi_v
     only: the vertical part of tau*_i o (Id + (0, phi_v)) minus the move of
     phi_v o tauhat_i under the horizontal shift
-    tauhat_i^{-1} tau*_i^h o (Id + (0, phi_v)).
+    tauhat_i^{-1} tau*_i^h o (Id + (0, phi_v)).  All tau*_i share one
+    shift and one call.
     """
     n_h, decks = pert.n_h_budget, pert.decks
-    tau_h, tau_v = pert.tau_h[i], pert.tau_v[i]
+    split = decks.n_h if kind == "full" else 0
+    stars = [s for i in range(decks.q) for s in pert.stacked(i)]
+    composed = per_deck(substitute_shift(stars, phi[:split], phi[split:], cap, n_h), decks.q)
     if kind == "full":
-        return vec_substitute(tau_h + tau_v, phi[:decks.n_h], phi[decks.n_h:], cap, n_h)
-    term_i = vec_substitute(tau_v, None, phi, cap, n_h)
-    shift = vec_substitute(tau_h, None, phi, cap, n_h)
-    psi = vec_compose_linear(phi, decks.lam[i], decks.mu[i])
-    shift_scaled = vec_scale_each(shift, decks.field.inv(decks.lam[i]))
-    term_ii = vec_sub(vec_substitute(psi, shift_scaled, None, cap, n_h), psi)
-    return vec_sub(term_i, term_ii)
+        return composed
+    rhs = []
+    for i, comp in enumerate(composed):
+        shift, term_i = comp[:decks.n_h], comp[decks.n_h:]
+        psi = vec_compose_linear(phi, decks.lam[i], decks.mu[i])
+        shift_scaled = vec_scale_each(shift, decks.field.inv(decks.lam[i]))
+        term_ii = vec_sub(substitute_shift(psi, shift_scaled, None, cap, n_h), psi)
+        rhs.append(vec_sub(term_i, term_ii))
+    return tuple(rhs)
 
 
 def _linearize(pert: DeckPerturbation, n_v: int, kind: str,
                report: DiophantineReport | None) -> LinearizationResult:
     """Solve L_i(phi) = rhs_i(phi) for every deck i, degree by degree: the
     degree-m part of the right-hand side is composed at cap m only, from
-    the parts of phi found below m.
+    the parts of phi found below m.  The residual reuses the last one (see
+    the module docstring).
 
     At each degree the right-hand side family must satisfy the pairwise
     compatibility identity; failure signals non-commuting input decks.
@@ -357,15 +360,16 @@ def _linearize(pert: DeckPerturbation, n_v: int, kind: str,
     check_report(report, kind)
     decks = pert.decks
     n_v = min(n_v, pert.n_v)
-    phi = vec_zero(decks.n_h, decks.d, system_width(decks, kind),
-                   pert.n_h_budget, n_v, decks.field)
+    phi = tuple(FormalSeries.zero(decks.n_h, decks.d, pert.n_h_budget, n_v, decks.field)
+                for _ in range(system_width(decks, kind)))
+    rhs = None
     for m in range(2, n_v + 1):
-        rhs = tuple(vec_homog(_rhs(pert, phi, i, kind, m), m, n_v)
-                    for i in range(decks.q))
-        phi = vec_add(phi, solve_family(CochainSystem(decks, rhs, kind), report))
+        rhs = _rhs(pert, phi, kind, m)
+        family = tuple(vec_homog(r, m, n_v) for r in rhs)
+        phi = vec_add(phi, solve_family(CochainSystem(decks, family, kind), report))
     split = decks.n_h if kind == "full" else 0
     phi_h, phi_v = phi[:split], phi[split:]
-    residuals = conjugacy_residual(phi_v, pert, n_v, kind, phi_h)
+    residuals = conjugacy_residual(phi_v, pert, n_v, kind, phi_h, rhs)
     return LinearizationResult(kind, n_v, phi_h, phi_v, residuals)
 
 
@@ -382,18 +386,20 @@ def full_linearize(pert: DeckPerturbation, n_v: int,
     return _linearize(pert, n_v, "full", report)
 
 
-def conjugacy_residual(phi_v: Vec, pert: DeckPerturbation, n_v: int,
-                       mode: str, phi_h: Vec = ()) -> list[float]:
+def conjugacy_residual(phi_v: Vec, pert: DeckPerturbation, n_v: int, mode: str,
+                       phi_h: Vec = (), rhs: tuple[Vec, ...] | None = None) -> list[float]:
     """Per degree, the max coefficient modulus of L_i(phi) - rhs_i(phi) over
-    the decks, with the right-hand side recomposed from the final phi at cap
-    ``n_v`` (vertical mode reads phi_v only)."""
+    the decks, with the right-hand sides ``rhs`` as composed at cap ``n_v``
+    or, by default, recomposed from phi (vertical mode reads phi_v only)."""
     if mode not in ("full", "vertical"):
         raise LinearizeError(f"unknown mode {mode!r}")
     phi = (tuple(phi_h) if mode == "full" else ()) + tuple(phi_v)
+    if rhs is None:
+        rhs = _rhs(pert, phi, mode, n_v)
     per_degree = [0.0] * (n_v + 1)
     for i in range(pert.decks.q):
         lhs = apply_operator(pert.decks, phi, i, mode)
-        for comp in vec_sub(lhs, _rhs(pert, phi, i, mode, n_v)):
+        for comp in vec_sub(lhs, rhs[i]):
             for key, c in comp.terms.items():
                 if key.q_size <= n_v:
                     per_degree[key.q_size] = max(per_degree[key.q_size], abs(c))

@@ -70,8 +70,8 @@ class QC:
 
     @classmethod
     def parse(cls, re: str, im: str = "0") -> "QC":
-        """Build from digit strings; accepts both '0.25' and '1/4'."""
-        return cls(re, im)
+        """Build from digit strings, '0.25' or '1/4', or ints."""
+        return cls(_digits(re), _digits(im))
 
     @_operand
     def __add__(self, a, b, d):
@@ -188,11 +188,18 @@ def as_complex(c) -> complex:
     return c.to_complex() if isinstance(c, QC) else complex(c)
 
 
-def _float(s: str) -> float:
-    """A decimal or 'p/q' string as the nearest float; a minus zero keeps its
-    sign, so ``repr`` output reads back bit for bit."""
-    x = float(Fraction(s))
-    return x if x or not s.lstrip().startswith("-") else -0.0
+def _digits(x):
+    """x, a digit string or an int: a float's binary value is not the decimal it spells."""
+    if x.__class__ is not str and x.__class__ is not int:
+        raise TypeError(f"a number must be a digit string or an integer, got {x!r}")
+    return x
+
+
+def _float(s) -> float:
+    """A decimal or 'p/q' string, or an int, as the nearest float; a minus
+    zero keeps its sign, so ``repr`` output reads back bit for bit."""
+    x = float(Fraction(_digits(s)))
+    return x if x or not str(s).lstrip().startswith("-") else -0.0
 
 
 class _Field:

@@ -345,66 +345,65 @@ def _binom(p: int, k: int) -> int:
     return (-1) ** k * math.comb(-p + k - 1, k)
 
 
-def substitute_shift(f: FormalSeries, phi_h: Sequence[FormalSeries] | None,
+def substitute_shift(fs: Sequence[FormalSeries], phi_h: Sequence[FormalSeries] | None,
                      phi_v: Sequence[FormalSeries] | None, n_v: int,
-                     n_h: int | None = None) -> FormalSeries:
-    """Evaluate ``f(h + phi_h, v + phi_v)`` truncated at v-degree ``n_v``.
+                     n_h: int | None = None) -> tuple[FormalSeries, ...]:
+    """Evaluate ``f(h + phi_h, v + phi_v)`` for every f of ``fs``, truncated
+    at v-degree ``n_v``.
 
     Every nonzero shift component must have v-order >= 2; this is what
     terminates the binomial expansion of negative Laurent powers
     ``(h_i + phi_i)^{P_i} = sum_k C(P_i, k) h_i^{P_i - k} phi_i^k``.
-    ``n_h`` is the Laurent budget of the result; the default allows the
-    worst-case spread of the expansion.
+    ``n_h`` is the Laurent budget of the results; the default allows each
+    f the worst-case spread of its expansion.
 
     Degree window: a key of f with |Q| = q feeds only degrees >= q, so f is
     cut at ``n_v``, and a key's leading factors are multiplied only up to
-    ``n_v`` minus the v-exponents still to come.  Keys are visited in
-    lexicographic (P, Q) order and share the products of common leading
-    factors; only the current chain of them is kept.  Each key adds
-    ``c * product`` to one accumulator, capped once; the result keeps the
-    key order of summing the keys of f in stored order.
+    ``n_v`` minus the v-exponents still to come.  Their product depends only
+    on their (slot, exponent) tags, so one table of these images serves
+    every key of every f; one stored at a higher cap serves a lower one, as
+    its excess terms pair with no term of the next factor below the cap.
+    Each f adds ``c * image`` per key, keys in lexicographic order, to its
+    own accumulator, capped once; its result keeps the key order of summing
+    the keys of f in stored order.
     """
-    phi_h = list(phi_h) if phi_h else [None] * f.n_h
-    phi_v = list(phi_v) if phi_v else [None] * f.n_v
-    if len(phi_h) != f.n_h or len(phi_v) != f.n_v:
+    fs = tuple(fs)
+    if not fs:
+        return ()
+    f0 = fs[0]
+    phi_h = list(phi_h) if phi_h else [None] * f0.n_h
+    phi_v = list(phi_v) if phi_v else [None] * f0.n_v
+    if len(phi_h) != f0.n_h or len(phi_v) != f0.n_v:
         raise SeriesError("shift arity mismatch")
-
     shifts = [p for p in phi_h + phi_v if p is not None and not p.is_zero()]
-    for p in shifts:
-        if (p.n_h, p.n_v) != (f.n_h, f.n_v) or p.field is not f.field:
-            raise SeriesError("shift series incompatible with target")
-        if p.v_order() is not None and p.v_order() < 2:
-            raise SeriesError("shift components must have v-order >= 2")
+    if any((g.n_h, g.n_v, g.field) != (f0.n_h, f0.n_v, f0.field) for g in fs + tuple(shifts)):
+        raise SeriesError("substituted and shift series differ in dimension or field")
+    if any(p.v_order() < 2 for p in shifts):
+        raise SeriesError("shift components must have v-order >= 2")
 
     spread = max((p.max_p_size() for p in shifts), default=0)
-    worst = f.max_p_size() + (n_v // 2 + 1) * (spread + 1)
-    if n_h is None:
-        n_h = worst
+    max_p = [f.max_p_size() for f in fs]
+    worst = [p + (n_v // 2 + 1) * (spread + 1) for p in max_p]
+    budgets = worst if n_h is None else [n_h] * len(fs)
     # intermediate binomial factors overshoot the Laurent budget even when
     # the final result fits, so work wide and re-cap at the end
-    work_h = max(n_h, worst) + f.max_p_size() + 1
+    work_h = max(max(b, w) + p + 1 for b, w, p in zip(budgets, worst, max_p))
 
-    one = FormalSeries.constant(f.n_h, f.n_v, f.field.one, work_h, n_v, f.field)
+    one = FormalSeries.constant(f0.n_h, f0.n_v, f0.field.one, work_h, n_v, f0.field)
 
     # per slot the powers phi^0, phi^1, ... of its shift, extended on demand
     capped = [None if p is None else p.with_caps(work_h, n_v) for p in phi_h + phi_v]
     powers = {slot: [one, p] for slot, p in enumerate(capped)
               if p is not None and not p.is_zero()}
 
-    # per (slot, exponent) expansion of one substituted factor
-    fcache: dict[tuple[int, int], FormalSeries] = {}
-
     def factor(slot: int, expo: int) -> FormalSeries:
         """sum_k C(expo, k) x^(expo - k) phi^k for the coordinate x of slot,
         each power's terms moved by x^(expo - k) and added in turn."""
-        tag = (slot, expo)
-        if tag in fcache:
-            return fcache[tag]
         row = powers.get(slot, [one])
         k_max = 0 if len(row) == 1 else n_v // row[1].v_order()
         if expo >= 0:
             k_max = min(k_max, expo)
-        j = slot - f.n_h
+        j = slot - f0.n_h
         acc: dict[ExponentKey, object] = {}
         for k in range(k_max + 1):
             coeff = _binom(expo, k)
@@ -428,33 +427,41 @@ def substitute_shift(f: FormalSeries, phi_h: Sequence[FormalSeries] | None,
                         del acc[key]
                         continue
                 acc[key] = term
-        fcache[tag] = f._capped(acc, work_h, n_v)
-        return fcache[tag]
+        return f0._capped(acc, work_h, n_v)
 
-    live = [(key, c) for key, c in f.terms.items() if key.q_size <= n_v]
-    acc: dict[ExponentKey, object] = {}
-    first: dict[ExponentKey, tuple[int, int]] = {}
-    chain: list[tuple[tuple[int, int], FormalSeries]] = []
-    for rank, (key, c) in sorted(enumerate(live), key=lambda item: item[1][0]):
-        todo = key.q_size
-        prod = one
-        for depth, tag in enumerate((s, e) for s, e in enumerate(key.P + key.Q) if e):
-            if tag[0] >= f.n_h:
-                todo -= tag[1]
-            if (depth < len(chain) and chain[depth][0] == tag
-                    and chain[depth][1].trunc_v >= n_v - todo):
-                prod = chain[depth][1]
-                continue
-            del chain[depth:]
-            prod = factor(*tag) if depth == 0 else prod.mul(factor(*tag), n_v - todo)
-            chain.append((tag, prod))
-        for pos, (k, v) in enumerate(prod.terms.items()):
-            if k in acc:
-                acc[k] = acc[k] + c * v
-                first[k] = min(first[k], (rank, pos))
+    # nonempty tuple of leading (slot, exponent) tags -> their image
+    images: dict[tuple[tuple[int, int], ...], FormalSeries] = {}
+
+    def image(tags: tuple[tuple[int, int], ...], cap: int) -> FormalSeries:
+        """Product of the factors of ``tags``, exact through v-degree cap."""
+        out = images.get(tags)
+        if out is None or out.trunc_v < cap:
+            slot, e = tags[-1]
+            if len(tags) == 1:
+                out = factor(slot, e)
             else:
-                acc[k], first[k] = c * v, (rank, pos)
-    return f._capped({k: acc[k] for k in sorted(acc, key=first.__getitem__)}, n_h, n_v)
+                head = image(tags[:-1], cap - e if slot >= f0.n_h else cap)
+                out = head.mul(image(tags[-1:], n_v), cap)
+            images[tags] = out
+        return out
+
+    results = []
+    for f, budget in zip(fs, budgets):
+        live = [(key, c) for key, c in f.terms.items() if key.q_size <= n_v]
+        acc: dict[ExponentKey, object] = {}
+        first: dict[ExponentKey, tuple[int, int]] = {}
+        for rank, (key, c) in sorted(enumerate(live), key=lambda item: item[1][0]):
+            tags = tuple((s, e) for s, e in enumerate(key.P + key.Q) if e)
+            prod = image(tags, n_v) if tags else one
+            for pos, (k, v) in enumerate(prod.terms.items()):
+                if k in acc:
+                    acc[k] = acc[k] + c * v
+                    first[k] = min(first[k], (rank, pos))
+                else:
+                    acc[k], first[k] = c * v, (rank, pos)
+        results.append(f._capped({k: acc[k] for k in sorted(acc, key=first.__getitem__)},
+                                 budget, n_v))
+    return tuple(results)
 
 
 # ----------------------------------------------------------------------

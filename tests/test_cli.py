@@ -377,7 +377,7 @@ def test_laurent_budget_overflow_exits_1(tmp_path, monkeypatch):
         # (h + h^2 v^2)^{-1} reaches |P| = 3 at v^8, past a budget of 1
         f = FormalSeries.monomial(1, 1, (-1,), (0,), QC(1), 4, 8)
         phi = FormalSeries.monomial(1, 1, (2,), (2,), QC(1), 4, 8)
-        return substitute_shift(f, [phi], None, 8, n_h=1)
+        return substitute_shift((f,), [phi], None, 8, n_h=1)
 
     monkeypatch.setattr(linearize, "full_linearize", overflowing)
     cfg = write(tmp_path / "cfg.json", {"command": "linearize", "params": {"n_v": 3}})
@@ -475,6 +475,52 @@ def test_malformed_input_file_is_input_error(tmp_path, capsys, command, name, da
     cfg = write(tmp_path / "cfg.json", {"command": command, "inputs": inputs})
     assert main(["--config", cfg]) == 2
     assert capsys.readouterr().err.startswith(f"input error: input {name} is malformed")
+
+
+def _with_number(data, path, number):
+    """A copy of data with the string at ``path`` replaced by a JSON number."""
+    data = json.loads(json.dumps(data))
+    leaf = data
+    for step in path[:-1]:
+        leaf = leaf[step]
+    leaf[path[-1]] = number
+    return data
+
+
+NUMBER_FIELDS = [
+    ("dioph-scan", "exact", "decks", decks_json(), ("lambda", 0, 0, "re")),
+    ("dioph-scan", "float", "decks", decks_json(), ("lambda", 0, 0, "re")),
+    ("hopf-classify", "exact", "spec", hopf_spec_json(), ("alpha", 0, "re")),
+    ("hopf-precheck", "exact", "bundle", {"beta": {"re": "0.2", "im": "0"}}, ("beta", "re")),
+]
+
+
+@pytest.mark.parametrize("command, mode, name, data, path", NUMBER_FIELDS,
+                         ids=["decks-exact", "decks-float", "hopf-alpha", "bundle-beta"])
+@pytest.mark.parametrize("number", [0.6, 0.0, True], ids=["float", "zero", "bool"])
+def test_json_number_for_a_digit_string_is_input_error(tmp_path, capsys, command, mode,
+                                                       name, data, path, number):
+    # {"re": 0.6} was read as the double nearest 0.6, not as 3/5: in exact
+    # mode a unit lambda came out 4.4e-17 off the circle and the run exited
+    # 0; over floats 0.0 escaped as an AttributeError
+    contract_inputs(tmp_path)
+    write(tmp_path / "bad.json", _with_number(data, path, number))
+    inputs = {**(PRECHECK if command == "hopf-precheck" else {}), name: "bad.json"}
+    cfg = write(tmp_path / "cfg.json", {"command": command, "mode": mode, "inputs": inputs})
+    assert main(["--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: input {name} is malformed")
+    assert "digit string or an integer" in err
+
+
+@pytest.mark.parametrize("command, mode, name, data, path", NUMBER_FIELDS,
+                         ids=["decks-exact", "decks-float", "hopf-alpha", "bundle-beta"])
+def test_json_integer_part_still_reads(tmp_path, command, mode, name, data, path):
+    contract_inputs(tmp_path)
+    write(tmp_path / "ok.json", _with_number(data, path[:-1] + ("im",), 0))
+    inputs = {**(PRECHECK if command == "hopf-precheck" else {}), name: "ok.json"}
+    cfg = write(tmp_path / "cfg.json", {"command": command, "mode": mode, "inputs": inputs})
+    assert main(["--config", cfg]) == 0
 
 
 @pytest.mark.parametrize("command, data, field", [

@@ -103,8 +103,8 @@ def test_substitute_overflow_raises_on_small_budget():
     f = FormalSeries.monomial(1, 1, (-1,), (0,), QC(1), 4, 8)
     phi = FormalSeries.monomial(1, 1, (2,), (2,), QC(1), 4, 8)
     with pytest.raises(TruncationOverflow):
-        substitute_shift(f, [phi], None, 8, n_h=1)
-    wide = substitute_shift(f, [phi], None, 8, n_h=4)
+        substitute_shift((f,), [phi], None, 8, n_h=1)
+    wide, = substitute_shift((f,), [phi], None, 8, n_h=4)
     assert wide.coeff((3,), (8,)) == QC(1)
 
 
@@ -112,7 +112,7 @@ def test_substitute_transient_spread_is_not_an_error():
     # intermediate factors overshoot but the result fits |P| <= 3
     f = FormalSeries.monomial(1, 1, (-3,), (0,), QC(1), 3, 8)
     phi = FormalSeries.monomial(1, 1, (1,), (2,), QC(1), 3, 8)
-    out = substitute_shift(f, [phi], None, 6, n_h=3)
+    out, = substitute_shift((f,), [phi], None, 6, n_h=3)
     assert out.coeff((-3,), (2,)) == QC(-3)
 
 

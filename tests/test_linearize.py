@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from germlin import linearize
 from germlin.divisors import IncompatibleSystem, diophantine_scan
 from germlin.linearize import (
     DeckPerturbation, LinearizeError, MajorantFailure, check_commutation,
@@ -11,10 +12,10 @@ from germlin.linearize import (
     conjugacy_residual, default_linear_decks, eta_sequence,
     fit_majorant_constants, full_linearize, generate_commuting_decks,
     grid_ladder, invert_near_identity, majorant_functional_solve, vec_sub,
-    vec_substitute, vertical_linearize,
+    vertical_linearize, _rhs,
 )
 from germlin.scalars import QC
-from germlin.series import FormalSeries, GridSpec
+from germlin.series import FormalSeries, GridSpec, substitute_shift
 from germlin.toroidal import DeckLinearData
 
 N_V = 5
@@ -94,7 +95,7 @@ def test_inverse_parts_invert_exactly():
                    for s in pert.stacked(0))
     shift_h = tuple(s.scale(lam[i]) for i, s in enumerate(inv_h))
     shift_v = tuple(s.scale(mu[j]) for j, s in enumerate(inv_v))
-    comp = vec_substitute(pulled, shift_h, shift_v, N_V, BUDGET)
+    comp = substitute_shift(pulled, shift_h, shift_v, N_V, BUDGET)
     lin_h = tuple(s.scale(lam[i]) for i, s in enumerate(inv_h))
     lin_v = tuple(s.scale(mu[j]) for j, s in enumerate(inv_v))
     total = tuple(a.add(b) for a, b in zip(lin_h + lin_v, comp))
@@ -246,6 +247,52 @@ def test_vertical_residual_sensitive_to_coefficient_bump(direction):
     residuals = conjugacy_residual(bumped_v, pert, N_V, "vertical")
     assert residuals[:3] == [0.0, 0.0, 0.0]
     assert residuals[3] > 0
+
+
+def _bumped(vec, degree):
+    """vec with 1/7 added to its first component at P = 0, Q = (degree, 0, ...)."""
+    s = vec[0]
+    q = (degree,) + (0,) * (s.n_v - 1)
+    bump = FormalSeries.monomial(s.n_h, s.n_v, (0,) * s.n_h, q, QC(Fraction(1, 7)),
+                                 s.trunc_h, s.trunc_v)
+    return (s.add(bump),) + tuple(vec[1:])
+
+
+@pytest.mark.parametrize("mode", ["full", "vertical"])
+@pytest.mark.parametrize("degree", [3, N_V])
+@pytest.mark.parametrize("dims", [(1, 1, 1), (1, 2, 2), (2, 1, 2)])
+def test_residual_reuses_the_top_degree_composition(dims, degree, mode):
+    # the residual takes the solver's composition at cap n_v, made before
+    # phi's degree-n_v part was added: that part moves rhs_i only above
+    # degree n_v, so the residual is the recomposed one even for a wrong phi
+    gen = generate_commuting_decks(4, dims, N_V, scale=Fraction(1, 16))
+    res = (full_linearize if mode == "full" else vertical_linearize)(gen.pert, N_V)
+    phi_h, phi_v = res.phi_h, _bumped(res.phi_v, degree)
+    below = tuple(s.sub(s.homogeneous_part(N_V)) for s in phi_h + phi_v)
+    reused = conjugacy_residual(phi_v, gen.pert, N_V, mode, phi_h,
+                                rhs=_rhs(gen.pert, below, mode, N_V))
+    assert reused == conjugacy_residual(phi_v, gen.pert, N_V, mode, phi_h)
+    assert reused[degree] > 0
+
+
+@pytest.mark.parametrize("solve", [full_linearize, vertical_linearize])
+@pytest.mark.parametrize("dims, n_v", [((1, 2, 2), 3), ((1, 1, 1), N_V)])
+def test_residual_sees_a_wrong_solve(monkeypatch, solve, dims, n_v):
+    # a degree-3 coefficient off in the solve shows in the residual the
+    # solver hands over: as its top degree, or below it with one deck, where
+    # the family stays compatible
+    calls, solve_family = [], linearize.solve_family
+
+    def bumped(system, report=None):
+        calls.append(None)
+        out = solve_family(system, report)
+        return _bumped(out, 3) if len(calls) == 2 else out
+
+    monkeypatch.setattr(linearize, "solve_family", bumped)
+    gen = generate_commuting_decks(4, dims, n_v, scale=Fraction(1, 16))
+    res = solve(gen.pert, n_v)
+    assert res.residual_per_degree[:3] == [0.0, 0.0, 0.0]
+    assert res.residual_per_degree[3] > 0
 
 
 # ----------------------------------------------------------------------
@@ -409,7 +456,7 @@ def test_inverse_deck_both_composition_orders():
     pulled = tuple(s.compose_linear(lam, mu) for s in inv)
     shift_h = tuple(s.scale(lam_inv[i]) for i, s in enumerate(star[:1]))
     shift_v = tuple(s.scale(mu_inv[j]) for j, s in enumerate(star[1:]))
-    comp = vec_substitute(pulled, shift_h, shift_v, N_V, BUDGET)
+    comp = substitute_shift(pulled, shift_h, shift_v, N_V, BUDGET)
     lin = (tuple(s.scale(lam_inv[i]) for i, s in enumerate(star[:1]))
            + tuple(s.scale(mu_inv[j]) for j, s in enumerate(star[1:])))
     total = tuple(a.add(b) for a, b in zip(lin, comp))

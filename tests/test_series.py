@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from germlin.scalars import CC, QC, QQI
 from germlin.series import (
-    ExponentKey, FormalSeries, GridSpec, SeriesError, cauchy_bound_check,
-    grid_sup_norm, series_from_dict, series_to_dict,
+    ExponentKey, FormalSeries, GridSpec, SeriesError, TruncationOverflow,
+    cauchy_bound_check, grid_sup_norm, series_from_dict, series_to_dict,
     substitute_shift,
 )
 from conftest import random_qc, random_series
@@ -148,14 +148,14 @@ def test_homogeneous_part_is_projection(rng):
 
 def test_substitute_identity(rng):
     f = random_series(rng)
-    out = substitute_shift(f, None, None, f.trunc_v, f.trunc_h)
+    out, = substitute_shift((f,), None, None, f.trunc_v, f.trunc_h)
     assert out == f
 
 
 def test_substitute_linear_target():
     f = mono((0,), (1,))
     phi = mono((0,), (2,))
-    out = substitute_shift(f, None, [phi], 8)
+    out, = substitute_shift((f,), None, [phi], 8)
     assert out == f.add(mono((0,), (2,), th=out.trunc_h, tv=8))
 
 
@@ -163,7 +163,7 @@ def test_substitute_negative_power_geometric_oracle():
     # f = h^-1 v^2 at h -> h + h v^2 gives h^-1 v^2 (1+v^2)^-1
     f = mono((-1,), (2,), tv=8)
     phi = mono((1,), (2,), tv=8)
-    out = substitute_shift(f, [phi], None, 6)
+    out, = substitute_shift((f,), [phi], None, 6)
     expect = {
         ExponentKey((-1,), (2,)): QC(1),
         ExponentKey((-1,), (4,)): QC(-1),
@@ -176,16 +176,16 @@ def test_substitute_requires_v_order_two():
     f = mono((1,), (0,))
     bad = mono((0,), (1,))
     with pytest.raises(SeriesError):
-        substitute_shift(f, [bad], None, 8)
+        substitute_shift((f,), [bad], None, 8)
 
 
 def test_substitute_cuts_target_above_cap():
     # keys of f above the cap only feed degrees above it
     f = mono((-1,), (2,), tv=8).add(mono((1,), (7,), tv=8))
     phi = mono((1,), (2,), tv=8)
-    out = substitute_shift(f, [phi], None, 5, 12)
+    out, = substitute_shift((f,), [phi], None, 5, 12)
     assert out.trunc_v == 5
-    assert out == substitute_shift(f.truncate_v(5), [phi], None, 5, 12)
+    assert (out,) == substitute_shift((f.truncate_v(5),), [phi], None, 5, 12)
 
 
 def test_substitute_is_termwise_sum_in_target_order(rng):
@@ -197,12 +197,77 @@ def test_substitute_is_termwise_sum_in_target_order(rng):
         shifts = [random_series(rng, n_h=2, n_v=2, n_terms=2, max_p=1,
                                 min_q=2, trunc_h=40, trunc_v=6)
                   for _ in range(4)]
-        out = substitute_shift(f, shifts[:2], shifts[2:], 6, 40)
+        out, = substitute_shift((f,), shifts[:2], shifts[2:], 6, 40)
         ref = FormalSeries.zero(2, 2, 40, 6)
         for key, c in f.terms.items():
-            ref = ref.add(substitute_shift(f.like({key: c}), shifts[:2],
-                                           shifts[2:], 6, 40))
+            ref = ref.add(substitute_shift((f.like({key: c}),), shifts[:2],
+                                           shifts[2:], 6, 40)[0])
         assert list(out.terms.items()) == list(ref.terms.items())
+
+
+COEFFS = (QC(1), QC(-1), QC(Fraction(1, 2), 1), QC(0, Fraction(-1, 3)), QC(2, -1))
+
+
+@st.composite
+def substitution_calls(draw):
+    """1-4 series on keys drawn from one shared pool and from their own,
+    negative P included, and one shift of v-order >= 2 per slot or none.
+    The pool holds the leading parts of its keys, so one series may need
+    at full cap the image another stored at a lower one."""
+    n_h, n_v = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    field = draw(st.sampled_from((QQI, CC)))
+    keys = st.tuples(st.tuples(*[st.integers(-2, 2)] * n_h),
+                     st.tuples(*[st.integers(0, 3)] * n_v))
+    pool = draw(st.lists(keys, min_size=1, max_size=5, unique=True))
+    # with each key its leading parts, whose images other keys' images extend
+    pool = list(dict.fromkeys((p, q[:j] + (0,) * (n_v - j)) for p, q in pool
+                              for j in range(n_v + 1)))
+
+    def series(own, min_q=0):
+        chosen = [k for k in own if sum(k[1]) >= min_q]
+        terms = {k: field.coerce(draw(st.sampled_from(COEFFS))) for k in chosen}
+        return FormalSeries(n_h, n_v, terms, 12, 6, field)
+
+    fs = [series(draw(st.lists(st.sampled_from(pool), unique=True))
+                 + draw(st.lists(keys, max_size=3, unique=True)))
+          for _ in range(draw(st.integers(1, 4)))]
+    shift_keys = st.tuples(st.tuples(*[st.integers(-1, 1)] * n_h),
+                           st.tuples(*[st.integers(0, 2)] * n_v))
+    shifts = [draw(st.none() | st.lists(shift_keys, min_size=1, max_size=2,
+                                        unique=True).map(lambda ks: series(ks, 2)))
+              for _ in range(n_h + n_v)]
+    cap = draw(st.integers(2, 5))
+    budget = draw(st.sampled_from((None, 1, 2, 40)))
+    return fs, shifts[:n_h], shifts[n_h:], cap, budget
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(substitution_calls())
+def test_vector_substitution_is_each_component_alone(call):
+    # one call shares its image table across components; each component
+    # keeps the terms, key order and caps of substituting it alone, and a
+    # component past its own Laurent budget still raises
+    fs, phi_h, phi_v, cap, budget = call
+    alone = []
+    for f in fs:
+        try:
+            alone.append(substitute_shift((f,), phi_h, phi_v, cap, budget)[0])
+        except TruncationOverflow:
+            alone.append(None)
+    if None in alone:
+        with pytest.raises(TruncationOverflow):
+            substitute_shift(fs, phi_h, phi_v, cap, budget)
+    else:
+        outs = substitute_shift(fs, phi_h, phi_v, cap, budget)
+        assert [(list(o.terms.items()), o.trunc_h, o.trunc_v) for o in outs] == \
+            [(list(a.terms.items()), a.trunc_h, a.trunc_v) for a in alone]
+    if fs[0].field is QQI:
+        # the termwise-linearity reference of the test above
+        for f, out in zip(fs, substitute_shift(fs, phi_h, phi_v, cap, 40)):
+            ref = FormalSeries.zero(f.n_h, f.n_v, 40, cap)
+            for key, c in f.terms.items():
+                ref = ref.add(substitute_shift((f.like({key: c}),), phi_h, phi_v, cap, 40)[0])
+            assert list(out.terms.items()) == list(ref.terms.items())
 
 
 def _inverse_shift(phi_h, phi_v, n_v, n_h):
@@ -211,8 +276,8 @@ def _inverse_shift(phi_h, phi_v, n_v, n_h):
     psi_h = [s.like() for s in phi_h]
     psi_v = [s.like() for s in phi_v]
     for _ in range(n_v):
-        comp_h = [substitute_shift(s, psi_h, psi_v, n_v, n_h) for s in phi_h]
-        comp_v = [substitute_shift(s, psi_h, psi_v, n_v, n_h) for s in phi_v]
+        comp_h = substitute_shift(phi_h, psi_h, psi_v, n_v, n_h)
+        comp_v = substitute_shift(phi_v, psi_h, psi_v, n_v, n_h)
         psi_h = [c.neg() for c in comp_h]
         psi_v = [c.neg() for c in comp_v]
     return psi_h, psi_v
@@ -227,9 +292,26 @@ def test_substitute_roundtrip_with_compositional_inverse(rng):
         phi_v = [random_series(rng, trunc_h=n_h, trunc_v=n_v, n_terms=2,
                                max_p=1, min_q=2)]
         psi_h, psi_v = _inverse_shift(phi_h, phi_v, n_v, n_h)
-        once = substitute_shift(f, phi_h, phi_v, n_v, n_h)
-        back = substitute_shift(once, psi_h, psi_v, n_v, n_h)
+        once, = substitute_shift((f,), phi_h, phi_v, n_v, n_h)
+        back, = substitute_shift((once,), psi_h, psi_v, n_v, n_h)
         assert back.truncate_v(n_v).terms == f.truncate_v(n_v).terms
+
+
+def test_substitute_roundtrip_three_horizontal_coordinates(rng):
+    # a key with three horizontal factors multiplies its first two at the
+    # cap of the third, which is the only case where a horizontal tag's
+    # cap could be taken wrongly
+    n_v, n_h = 5, 40
+    for _ in range(3):
+        f = random_series(rng, n_h=3, trunc_h=n_h, trunc_v=n_v, n_terms=4, max_p=2)
+        phi_h = [random_series(rng, n_h=3, trunc_h=n_h, trunc_v=n_v, n_terms=2,
+                               max_p=1, min_q=2) for _ in range(3)]
+        phi_v = [random_series(rng, n_h=3, trunc_h=n_h, trunc_v=n_v, n_terms=2,
+                               max_p=1, min_q=2)]
+        psi_h, psi_v = _inverse_shift(phi_h, phi_v, n_v, n_h)
+        once, = substitute_shift((f,), phi_h, phi_v, n_v, n_h)
+        back, = substitute_shift((once,), psi_h, psi_v, n_v, n_h)
+        assert back.terms == f.truncate_v(n_v).terms
 
 
 # ----------------------------------------------------------------------

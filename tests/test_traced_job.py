@@ -28,10 +28,12 @@ def _span_names(tmp_path, config: dict) -> set:
 
 
 def test_traced_job_spans_the_linearize_stages(tmp_path):
-    names = _span_names(tmp_path, {"command": "certify", "seed": 5,
-                                   "params": {"n_v": 4, "scale": "1/64"}})
-    names |= _span_names(tmp_path, {"command": "linearize", "seed": 3,
-                                    "params": {"n_v": 4, "lin_mode": "full",
-                                               "scale": "1/16"}})
+    lin = _span_names(tmp_path, {"command": "linearize", "seed": 3,
+                                 "params": {"n_v": 4, "lin_mode": "full",
+                                            "scale": "1/16"}})
+    names = lin | _span_names(tmp_path, {"command": "certify", "seed": 5,
+                                         "params": {"n_v": 4, "scale": "1/64"}})
     assert {"linearize.full_linearize", "linearize.vertical_linearize",
             "linearize.conjugacy_residual", "linearize.majorant"} <= names
+    # the per-layer series metrics measure the solver path
+    assert {"series.substitute_shift", "series.mul"} <= lin
